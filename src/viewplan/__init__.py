@@ -5,8 +5,7 @@ boundary length, and train small value networks that learn how hard to weight
 the boundary penalty at each step.
 """
 
-from .agents import (ALGORITHMS, TrainConfig, TrainedModel, plan_with_model, train,
-                     train_sarsa, train_td, train_watkins_q)
+from .agents import ALGORITHMS, TrainConfig, TrainedModel, plan_with_model, train
 from .bench import CertifiedInstance, SyntheticSpec, exact_min_cover, generate_instance
 from .io import (CURVE_KEEP_ALL, CURVE_STRIDE, CurveRow, FormatError, MethodRow,
                  curve_rows, load_cameras, load_coverage, load_mesh, load_model,
@@ -26,16 +25,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS", "Bvh", "CURVE_KEEP_ALL", "CURVE_STRIDE", "CertifiedInstance",
-    "CoverageState", "CoverageTable", "CurveRow", "FormatError", "HalfEdge", "MethodRow",
-    "NetworkConfig", "Plan", "Submesh", "SyntheticSpec", "TraceVector",
-    "TrainConfig", "TrainedModel", "TriangleMesh", "ValueNetwork", "apply_update",
-    "brute_force_boundary", "build_bvh", "curve_rows", "encode_input", "exact_min_cover",
-    "forward", "generate_instance", "gradient", "grid_square_triangles", "icosphere",
-    "init_network", "is_terminal", "iter_bits", "load_cameras", "load_coverage",
-    "load_mesh", "load_model", "load_plan", "method_row", "next_best_view",
-    "plan_with_model", "planar_grid", "precompute_coverage", "ray_triangle",
-    "run_alternating", "run_fixed_lambda", "save_cameras", "save_coverage", "save_mesh",
-    "save_model", "save_plan", "score", "train", "train_sarsa", "train_td",
-    "train_watkins_q", "triangle_bits", "union_boundary", "union_coverage",
-    "view_coverage", "write_curve_csv", "write_method_csv",
+    "CoverageState", "CoverageTable", "CurveRow", "FormatError", "HalfEdge",
+    "MethodRow", "NetworkConfig", "Plan", "Submesh", "SyntheticSpec", "TraceVector",
+    "TrainConfig", "TrainedModel", "TriangleMesh", "ValueNetwork", "ViewPoint",
+    "apply_update", "brute_force_boundary", "build_bvh", "curve_rows", "encode_input",
+    "exact_min_cover", "forward", "generate_instance", "gradient",
+    "grid_square_triangles", "icosphere", "init_network", "is_terminal", "iter_bits",
+    "load_cameras", "load_coverage", "load_mesh", "load_model", "load_plan",
+    "method_row", "next_best_view", "plan_with_model", "planar_grid",
+    "precompute_coverage", "ray_triangle", "run_alternating", "run_fixed_lambda",
+    "save_cameras", "save_coverage", "save_mesh", "save_model", "save_plan", "score",
+    "train", "triangle_bits", "union_boundary", "union_coverage", "view_coverage",
+    "write_curve_csv", "write_method_csv",
 ]

@@ -1,20 +1,26 @@
-"""Training loops that learn which lam to hand the per-step view selector.
+"""Training loop that learns which lam to hand the per-step view selector.
 
-All three agents walk episodes of the same shape: drop onto a uniformly random
-first view, then repeatedly let the selector extend coverage until the relative
-coverage criterion is met, paying a reward of -1 per transition (undiscounted).
-Function approximation is the shared value network with eligibility traces.
+The three agents (sarsa, watkins-q, td) are one algorithm: TD learning with
+eligibility traces on the shared value network, over episodes of one shape.
+Each episode drops onto a uniformly random first view, then lets the selector
+extend coverage until the relative coverage criterion is met, paying a reward
+of -1 per transition (undiscounted). Every step encodes the input, accumulates
+its gradient into the trace, forms the TD error, stops at the terminal state,
+advances, adds the bootstrap value, applies the update, and decays the trace.
 
-They differ in what the network estimates and how the bootstrap target is
-formed:
+The agents differ in two places only:
 
-* watkins-q: action values q(s, lam); off-policy max bootstrap; epsilon-greedy
-  exploration during a configured window, and the trace resets after every
-  exploratory choice instead of decaying.
-* sarsa: action values with an on-policy bootstrap (the value of the action
-  actually taken next); greedy throughout; the trace always decays.
-* td: state values v(s); each step evaluates every lam's successor state and
-  moves to the best one; no explicit action input, no exploration.
+* The input. td estimates state values v(s); sarsa and watkins-q estimate
+  action values q(s, lam), with the lam index one-hot after the state bits.
+* The bootstrap step. td evaluates every lam's successor state, moves to the
+  best-valued one and bootstraps on its value. sarsa and watkins-q move with
+  the current lam and bootstrap on the successor's greedy q. sarsa (on-policy,
+  greedy throughout) keeps that greedy lam as its next action. watkins-q
+  (off-policy) picks its next lam after the update, epsilon-greedy during a
+  configured window, and resets the trace after an exploratory pick instead
+  of decaying it.
+
+plan_with_model walks the same greedy steps without learning.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ import numpy as np
 
 from .network import (NetworkConfig, TraceVector, ValueNetwork, apply_update,
                       encode_input, forward, gradient, init_network)
-from .planner import CoverageState, Plan, is_terminal, next_best_view
+from .planner import CoverageState, Plan, coverage_fraction, is_terminal, next_best_view
 from .visibility import CoverageTable
 
 REWARD = -1.0
@@ -97,44 +103,53 @@ def _derive_seeds(seed: int):
     return int(init_child.generate_state(1)[0]), np.random.default_rng(episode_child)
 
 
-def _argmax(values) -> int:
+def _best_action(net: ValueNetwork, state_vec: np.ndarray, n_actions: int) -> tuple[int, float]:
+    """Greedy lam index and its q value; ties go to the lowest index."""
+    q = [forward(net, encode_input(state_vec, a, n_actions)) for a in range(n_actions)]
     best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    return best
+    for a in range(1, n_actions):
+        if q[a] > q[best]:
+            best = a
+    return best, q[best]
 
 
-def _q_values(net: ValueNetwork, state_vec: np.ndarray, n_actions: int) -> list[float]:
-    return [forward(net, encode_input(state_vec, a, n_actions)) for a in range(n_actions)]
+def _best_successor(net: ValueNetwork, state: CoverageState, table: CoverageTable,
+                    state_vec: np.ndarray, lams) -> tuple[int | None, float, float]:
+    """(view, lam, value) of the best-valued successor state over every lam.
 
-
-def _advance(state: CoverageState, table: CoverageTable, lam: float) -> int:
-    view = next_best_view(state, table, lam)
-    if view is None:
-        # cannot happen below the coverage target: some unchosen view still gains
-        raise RuntimeError("selector stalled before the coverage target")
-    return view
-
-
-def _finish(network, config, table, lengths) -> TrainedModel:
-    return TrainedModel(network, config, np.asarray(lengths, dtype=np.int32),
-                        table.mesh_digest, table.digest, table.n_views)
+    Lams that select the same view share one evaluation; ties go to the first
+    lam. The view is None when the selector stalls. state_vec is restored.
+    """
+    best_view = None
+    best_lam = 0.0
+    best_val = 0.0
+    seen: dict[int, float] = {}
+    for lam in lams:
+        view = next_best_view(state, table, lam)
+        if view is None:
+            continue
+        val = seen.get(view)
+        if val is None:
+            state_vec[view] = 1.0
+            val = forward(net, state_vec)
+            state_vec[view] = 0.0
+            seen[view] = val
+        if best_view is None or val > best_val:
+            best_view, best_lam, best_val = view, lam, val
+    return best_view, best_lam, best_val
 
 
 def train(table: CoverageTable, config: TrainConfig, callback=None) -> TrainedModel:
-    """Dispatch to the trainer named by config.algorithm."""
-    trainer = {"sarsa": train_sarsa, "watkins-q": train_watkins_q, "td": train_td}
-    return trainer[config.algorithm](table, config, callback)
-
-
-def train_watkins_q(table: CoverageTable, config: TrainConfig, callback=None) -> TrainedModel:
-    if config.algorithm != "watkins-q":
-        raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'watkins-q'")
+    """Train the agent named by config.algorithm; callback(episode, length)
+    runs after every episode."""
     n = table.n_views
-    n_actions = len(config.lambda_set)
+    lams = config.lambda_set
+    n_actions = len(lams)
+    td = config.algorithm == "td"
+    watkins = config.algorithm == "watkins-q"
     net_seed, rng = _derive_seeds(config.seed)
-    net = init_network(NetworkConfig(n + n_actions, config.hidden, config.init_scale, net_seed))
+    input_dim = n if td else n + n_actions
+    net = init_network(NetworkConfig(input_dim, config.hidden, config.init_scale, net_seed))
     trace = TraceVector.zeros(net.config)
     lengths = np.empty(config.max_episodes, dtype=np.int32)
 
@@ -142,138 +157,49 @@ def train_watkins_q(table: CoverageTable, config: TrainConfig, callback=None) ->
         # exploratory iff the draw does not exceed eps
         if eps > 0.0 and rng.random() <= eps:
             return int(rng.integers(n_actions)), True
-        return _argmax(_q_values(net, vec, n_actions)), False
+        return _best_action(net, vec, n_actions)[0], False
 
     for ep in range(config.max_episodes):
-        eps = config.epsilon if ep < config.epsilon_episodes else 0.0
+        eps = config.epsilon if watkins and ep < config.epsilon_episodes else 0.0
         start = int(rng.integers(n))
         state = CoverageState.initial(table).add(table, start)
         vec = np.zeros(n)
         vec[start] = 1.0
         trace.reset()
         transitions = 0
-        reward_total = 0.0
-        lam_idx, _ = select(vec, eps)
+        act = None if td else select(vec, eps)[0]
         while True:
-            x = encode_input(vec, lam_idx, n_actions)
+            x = encode_input(vec, act, n_actions)
             trace.accumulate(gradient(net, x))
             delta = REWARD - forward(net, x)
             if is_terminal(state, table, config.rcc):
                 apply_update(net, trace, delta, config.alpha)
                 break
-            view = _advance(state, table, config.lambda_set[lam_idx])
-            state = state.add(table, view)
-            vec[view] = 1.0
-            transitions += 1
-            reward_total += REWARD
-            delta += max(_q_values(net, vec, n_actions))
-            apply_update(net, trace, delta, config.alpha)
-            lam_idx, explored = select(vec, eps)
-            if explored:
-                trace.reset()
+            if td:
+                view, _lam, value = _best_successor(net, state, table, vec, lams)
             else:
-                trace.scale(config.mu_e)
-        assert reward_total == -transitions
-        lengths[ep] = transitions
-        if callback is not None:
-            callback(ep, transitions)
-    return _finish(net, config, table, lengths)
-
-
-def train_sarsa(table: CoverageTable, config: TrainConfig, callback=None) -> TrainedModel:
-    if config.algorithm != "sarsa":
-        raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'sarsa'")
-    n = table.n_views
-    n_actions = len(config.lambda_set)
-    net_seed, rng = _derive_seeds(config.seed)
-    net = init_network(NetworkConfig(n + n_actions, config.hidden, config.init_scale, net_seed))
-    trace = TraceVector.zeros(net.config)
-    lengths = np.empty(config.max_episodes, dtype=np.int32)
-
-    for ep in range(config.max_episodes):
-        start = int(rng.integers(n))
-        state = CoverageState.initial(table).add(table, start)
-        vec = np.zeros(n)
-        vec[start] = 1.0
-        trace.reset()
-        transitions = 0
-        reward_total = 0.0
-        lam_idx = _argmax(_q_values(net, vec, n_actions))
-        while True:
-            x = encode_input(vec, lam_idx, n_actions)
-            trace.accumulate(gradient(net, x))
-            delta = REWARD - forward(net, x)
-            if is_terminal(state, table, config.rcc):
-                apply_update(net, trace, delta, config.alpha)
-                break
-            view = _advance(state, table, config.lambda_set[lam_idx])
+                view = next_best_view(state, table, lams[act])
+            if view is None:
+                # cannot happen below the coverage target: some unchosen view still gains
+                raise RuntimeError("selector stalled before the coverage target")
             state = state.add(table, view)
             vec[view] = 1.0
             transitions += 1
-            reward_total += REWARD
-            # on-policy bootstrap: value of the action taken next
-            next_idx = _argmax(_q_values(net, vec, n_actions))
-            delta += forward(net, encode_input(vec, next_idx, n_actions))
-            apply_update(net, trace, delta, config.alpha)
-            lam_idx = next_idx
+            if not td:
+                # the successor's greedy q: watkins-q's max bootstrap, and
+                # sarsa's next action, picked before the update
+                act, value = _best_action(net, vec, n_actions)
+            apply_update(net, trace, delta + value, config.alpha)
+            if watkins:
+                act, explored = select(vec, eps)
+                if explored:
+                    trace.reset()
+                    continue
             trace.scale(config.mu_e)
-        assert reward_total == -transitions
         lengths[ep] = transitions
         if callback is not None:
             callback(ep, transitions)
-    return _finish(net, config, table, lengths)
-
-
-def train_td(table: CoverageTable, config: TrainConfig, callback=None) -> TrainedModel:
-    if config.algorithm != "td":
-        raise ValueError(f"config.algorithm is {config.algorithm!r}, expected 'td'")
-    n = table.n_views
-    net_seed, rng = _derive_seeds(config.seed)
-    net = init_network(NetworkConfig(n, config.hidden, config.init_scale, net_seed))
-    trace = TraceVector.zeros(net.config)
-    lengths = np.empty(config.max_episodes, dtype=np.int32)
-
-    for ep in range(config.max_episodes):
-        start = int(rng.integers(n))
-        state = CoverageState.initial(table).add(table, start)
-        vec = np.zeros(n)
-        vec[start] = 1.0
-        trace.reset()
-        transitions = 0
-        reward_total = 0.0
-        while True:
-            trace.accumulate(gradient(net, vec))
-            delta = REWARD - forward(net, vec)
-            if is_terminal(state, table, config.rcc):
-                apply_update(net, trace, delta, config.alpha)
-                break
-            # evaluate every lam's successor, move to the best-valued one
-            best_view = None
-            best_val = 0.0
-            seen: dict[int, float] = {}
-            for lam in config.lambda_set:
-                view = _advance(state, table, lam)
-                val = seen.get(view)
-                if val is None:
-                    vec[view] = 1.0
-                    val = forward(net, vec)
-                    vec[view] = 0.0
-                    seen[view] = val
-                if best_view is None or val > best_val:
-                    best_view = view
-                    best_val = val
-            state = state.add(table, best_view)
-            vec[best_view] = 1.0
-            transitions += 1
-            reward_total += REWARD
-            delta += best_val
-            apply_update(net, trace, delta, config.alpha)
-            trace.scale(config.mu_e)
-        assert reward_total == -transitions
-        lengths[ep] = transitions
-        if callback is not None:
-            callback(ep, transitions)
-    return _finish(net, config, table, lengths)
+    return TrainedModel(net, config, lengths, table.mesh_digest, table.digest, n)
 
 
 def plan_with_model(model: TrainedModel, table: CoverageTable, rcc: float) -> Plan:
@@ -295,17 +221,12 @@ def plan_with_model(model: TrainedModel, table: CoverageTable, rcc: float) -> Pl
     td = model.config.algorithm == "td"
     net = model.network
 
-    def state_value(vec):
-        if td:
-            return forward(net, vec)
-        return max(_q_values(net, vec, n_actions))
-
     vec = np.zeros(n)
     best_start = 0
     best_val = 0.0
     for i in range(n):
         vec[i] = 1.0
-        val = state_value(vec)
+        val = forward(net, vec) if td else _best_action(net, vec, n_actions)[1]
         vec[i] = 0.0
         if i == 0 or val > best_val:
             best_start = i
@@ -315,34 +236,19 @@ def plan_with_model(model: TrainedModel, table: CoverageTable, rcc: float) -> Pl
     vec[best_start] = 1.0
     order = [best_start]
     lambdas: list[float] = []
+    complete = True
     while not is_terminal(state, table, rcc):
         if td:
-            choice = None
-            choice_val = 0.0
-            for lam in lams:
-                view = next_best_view(state, table, lam)
-                if view is None:
-                    continue
-                vec[view] = 1.0
-                val = forward(net, vec)
-                vec[view] = 0.0
-                if choice is None or val > choice_val:
-                    choice = (lam, view)
-                    choice_val = val
-            if choice is None:
-                view = None
-            else:
-                lam, view = choice
+            view, lam, _value = _best_successor(net, state, table, vec, lams)
         else:
-            lam = lams[_argmax(_q_values(net, vec, n_actions))]
+            lam = lams[_best_action(net, vec, n_actions)[0]]
             view = next_best_view(state, table, lam)
         if view is None:
-            return Plan(tuple(order), tuple(lambdas),
-                        state.covered.area / table.achievable.area,
-                        model.config.algorithm, complete=False)
+            complete = False
+            break
         order.append(view)
         lambdas.append(lam)
         state = state.add(table, view)
         vec[view] = 1.0
-    fraction = 1.0 if table.achievable.area == 0.0 else state.covered.area / table.achievable.area
-    return Plan(tuple(order), tuple(lambdas), fraction, model.config.algorithm)
+    return Plan(tuple(order), tuple(lambdas), coverage_fraction(state.covered.area, table),
+                model.config.algorithm, complete)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Submesh, TriangleMesh
-from .planner import Plan, run_fixed_lambda
+from .planner import Plan, coverage_fraction, run_fixed_lambda
 from .shapes import grid_square_triangles, planar_grid
 from .visibility import CoverageTable
 
@@ -167,16 +167,13 @@ def exact_min_cover(table: CoverageTable, rcc: float = 1.0, connected: bool = Fa
     target_area = rcc * ach.area
     method = "exact-connected" if connected else "exact"
 
-    def fraction(area: float) -> float:
-        return 1.0 if ach.area == 0.0 else area / ach.area
-
     def done(bits: int, area: float) -> bool:
         if ach.bits & ~bits == 0:
             return True
         return rcc < 1.0 and area >= target_area
 
     if done(0, 0.0):
-        return Plan((), (), fraction(0.0), method)
+        return Plan((), (), coverage_fraction(0.0, table), method)
     frontier: list[tuple[int, float, tuple[int, ...]]] = [(0, 0.0, ())]
     seen = {0}
     for _size in range(1, n + 1):
@@ -192,7 +189,7 @@ def exact_min_cover(table: CoverageTable, rcc: float = 1.0, connected: bool = Fa
                 new_area = area + mesh.area_of_bits(new_bits & ~bits)
                 picked = chosen + (j,)
                 if done(new_bits, new_area):
-                    return Plan(picked, (), fraction(new_area), method)
+                    return Plan(picked, (), coverage_fraction(new_area, table), method)
                 seen.add(new_bits)
                 grown.append((new_bits, new_area, picked))
         frontier = grown

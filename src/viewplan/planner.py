@@ -101,10 +101,13 @@ def is_terminal(state: CoverageState, table: CoverageTable, rcc: float) -> bool:
     return state.covered.area >= rcc * table.achievable.area
 
 
-def _coverage_fraction(state: CoverageState, table: CoverageTable) -> float:
-    if table.achievable.area == 0.0:
+def coverage_fraction(area: float, table: CoverageTable) -> float:
+    """Covered area as a plain float share of the achievable area (1.0 when
+    nothing is achievable)."""
+    achievable = table.achievable.area
+    if achievable == 0.0:
         return 1.0
-    return state.covered.area / table.achievable.area
+    return float(area / achievable)
 
 
 def _run(table: CoverageTable, rcc: float, lam_at: Callable[[int], float], method: str,
@@ -119,12 +122,12 @@ def _run(table: CoverageTable, rcc: float, lam_at: Callable[[int], float], metho
         lam = lam_at(len(order) + 1)
         idx = next_best_view(state, table, lam)
         if idx is None:
-            return Plan(tuple(order), tuple(lambdas), _coverage_fraction(state, table),
+            return Plan(tuple(order), tuple(lambdas), coverage_fraction(state.covered.area, table),
                         method, complete=False)
         order.append(idx)
         lambdas.append(lam)
         state = state.add(table, idx)
-    return Plan(tuple(order), tuple(lambdas), _coverage_fraction(state, table), method)
+    return Plan(tuple(order), tuple(lambdas), coverage_fraction(state.covered.area, table), method)
 
 
 def run_fixed_lambda(table: CoverageTable, lam: float, rcc: float = 1.0,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,6 @@ from viewplan import (
     planar_grid,
     run_fixed_lambda,
     train,
-    train_sarsa,
-    train_td,
-    train_watkins_q,
 )
 
 
@@ -32,6 +31,67 @@ def weights_equal(a, b):
 
 # three squares, three views; greedy episode length depends on the start view
 TRAP_SETS = [[0, 1], [1, 2], [0, 1, 2]]
+
+
+def model_digest(model):
+    h = hashlib.sha256()
+    net = model.network
+    for arr in (net.hidden_w, net.hidden_b, net.out_w, np.float64(net.out_b),
+                model.episode_lengths):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# a longer strip where episodes run up to three transitions
+WIDE_SETS = [[0], [0, 1], [1, 2], [2, 3], [1, 2, 3]]
+
+# (view sets, algorithm, config overrides, sha256 of weights and episode
+# lengths, plan order, plan lams): 40 episodes, hidden 8, seed 7, computed
+# with the three per-algorithm trainers of commit 351ff4e
+PINNED_RUNS = [
+    (TRAP_SETS, "sarsa", {},
+     "3a69dbca3fcb7f7647a24a457079633d7504724b65c913f8213ac44000718450", (0, 1),
+     (1.0,)),
+    (TRAP_SETS, "watkins-q", {},
+     "811e70c2a73c535643461417b61cacf7511ad8d9dc44610a46f5250f89c82c20", (0, 1),
+     (1.0,)),
+    (TRAP_SETS, "td", {},
+     "f228e6ee95f1e4857d3f9d71a1d7c5bf5229ba98ba20cd96cecb19b351791a49", (2,),
+     ()),
+    (TRAP_SETS, "watkins-q", {"epsilon": 0.5, "epsilon_episodes": 20},
+     "529a669c6a41fa46bfaaa1abce782e296857abaa33638f3aa400fee9abd6ecb1", (0, 1),
+     (1.0,)),
+    (TRAP_SETS, "sarsa", {"lambda_set": (0.0, 0.5, 1.0), "mu_e": 0.9},
+     "1edc639c35e8c2678f471085c95a197ee0d28940355a8696833e45294d9b77ee", (2,),
+     ()),
+    (TRAP_SETS, "watkins-q", {"lambda_set": (0.0, 0.5, 1.0), "mu_e": 0.9},
+     "9c3f36a2623c040244095ca2b8b726c395714d96151203664cf03077193bfad9", (2,),
+     ()),
+    (TRAP_SETS, "td", {"lambda_set": (0.0, 0.5, 1.0), "mu_e": 0.9},
+     "1273286a462c9e37ab8f16f5a3ca4c998a17709e2acbd0829549b4f5033ad057", (2,),
+     ()),
+    (WIDE_SETS, "sarsa", {},
+     "0659bae327b82a32b92b5a5d77142c723658ca58e8a31af57fa800ad67ed47f9", (2, 1, 3),
+     (0.0, 0.0)),
+    (WIDE_SETS, "watkins-q", {},
+     "a03b1d2d81f3aeab5d4192529397865c38a611bf64a5951d513d05a59f396839", (2, 1, 3),
+     (0.0, 0.0)),
+    (WIDE_SETS, "td", {},
+     "f71667b9154111eb5a6756c942ff9be7701331967e2e5363eded19f317a5eda5", (4, 1),
+     (0.0,)),
+    (WIDE_SETS, "watkins-q", {"epsilon": 0.5, "epsilon_episodes": 20},
+     "b9a0477afaf69dea97fcb072d072b2d8d0eb00d46364611dd9ca6ada573a4de3", (2, 1, 3),
+     (1.0, 1.0)),
+    (WIDE_SETS, "sarsa", {"lambda_set": (0.0, 0.5, 1.0), "mu_e": 0.9},
+     "80cabff5090eda3d08e8cdbf80ca406eb181457c691552d67525926d03e771ca", (3, 2, 1),
+     (1.0, 1.0)),
+    (WIDE_SETS, "watkins-q", {"lambda_set": (0.0, 0.5, 1.0), "mu_e": 0.9},
+     "a34842933ed492804e1db1574b77963d4f8148ff38c2450a67ba312d13fe323a", (3, 2, 1),
+     (1.0, 1.0)),
+    (WIDE_SETS, "td", {"lambda_set": (0.0, 0.5, 1.0), "mu_e": 0.9},
+     "5050a3d04e08fdac96175ff594254e7bf75341004c857850c1e6c409b2783351", (4, 1),
+     (0.0,)),
+]
 
 
 class TestTrainConfig:
@@ -73,16 +133,6 @@ class TestTrainConfig:
 
 
 class TestTrainingLoops:
-    def test_dispatch_checks_algorithm(self):
-        table = strip_table([[0], [1], [2], [3]])
-        cfg = TrainConfig(algorithm="sarsa", max_episodes=1, hidden=4)
-        with pytest.raises(ValueError):
-            train_watkins_q(table, cfg)
-        with pytest.raises(ValueError):
-            train_td(table, cfg)
-        with pytest.raises(ValueError):
-            train_sarsa(table, TrainConfig(algorithm="td", max_episodes=1, hidden=4))
-
     def test_input_width_per_algorithm(self):
         table = strip_table([[0, 1], [2, 3], [1, 2]])
         for algo, width in (("sarsa", 3 + 2), ("watkins-q", 3 + 2), ("td", 3)):
@@ -185,6 +235,16 @@ class TestTrainingLoops:
         a = train(table, cfg(0.9))
         b = train(table, cfg(0.1))
         assert not weights_equal(a.network, b.network)
+
+
+    @pytest.mark.parametrize("sets,algo,overrides,digest,order,lams", PINNED_RUNS)
+    def test_pinned_weights_and_plan(self, sets, algo, overrides, digest, order, lams):
+        table = strip_table(sets)
+        cfg = TrainConfig(algorithm=algo, max_episodes=40, hidden=8, seed=7, **overrides)
+        model = train(table, cfg)
+        assert model_digest(model) == digest
+        plan = plan_with_model(model, table, 1.0)
+        assert (plan.order, plan.lambdas) == (order, lams)
 
 
 class TestPlanWithModel:

@@ -12,6 +12,7 @@ from viewplan import (
     TrainConfig,
     ViewPoint,
     curve_rows,
+    exact_min_cover,
     generate_instance,
     SyntheticSpec,
     load_cameras,
@@ -20,8 +21,10 @@ from viewplan import (
     load_model,
     load_plan,
     method_row,
+    plan_with_model,
     planar_grid,
     precompute_coverage,
+    run_fixed_lambda,
     save_cameras,
     save_coverage,
     save_mesh,
@@ -379,6 +382,24 @@ class TestReports:
         cells = p.read_text().splitlines()[1].split(",")
         assert float(cells[3]) == frac
         assert float(cells[5]) == 0.7
+
+    def test_csv_numbers_from_every_planner_parse(self, tmp_path):
+        model, table = tiny_model(episodes=20)
+        plans = [run_fixed_lambda(table, 0.0), run_fixed_lambda(table, 1.0, rcc=0.5),
+                 exact_min_cover(table), plan_with_model(model, table, 1.0),
+                 plan_with_model(model, table, 0.5)]
+        assert all(type(plan.final_coverage_fraction) is float for plan in plans)
+        p = tmp_path / "methods.csv"
+        write_method_csv(p, [method_row(f"s{i}", plan, 0.25) for i, plan in enumerate(plans)])
+        lines = p.read_text().splitlines()[1:]
+        assert len(lines) == len(plans)
+        for line, plan in zip(lines, plans):
+            _source, _method, views, fraction, runtime, seq = line.split(",")
+            assert int(views) == len(plan.order)
+            assert float(fraction) == plan.final_coverage_fraction
+            assert float(runtime) == 0.25
+            lams = [float(l) for l in seq.split(";")] if seq else []
+            assert tuple(lams) == plan.lambdas
 
     def test_no_stray_tempfiles(self, tmp_path):
         plan = Plan((0,), (), 1.0, "greedy")
