@@ -11,8 +11,8 @@ from .io import (CURVE_KEEP_ALL, CURVE_STRIDE, CurveRow, FormatError, MethodRow,
                  curve_rows, load_cameras, load_coverage, load_mesh, load_model,
                  load_plan, method_row, save_cameras, save_coverage, save_mesh,
                  save_model, save_plan, write_curve_csv, write_method_csv)
-from .mesh import (HalfEdge, Submesh, TriangleMesh, brute_force_boundary, iter_bits,
-                   score, triangle_bits, union_boundary, union_coverage)
+from .mesh import (Submesh, TriangleMesh, brute_force_boundary, iter_bits, score,
+                   triangle_bits, union_coverage)
 from .network import (NetworkConfig, TraceVector, ValueNetwork, apply_update, encode_input,
                       forward, gradient, init_network)
 from .planner import (CoverageState, Plan, is_terminal, next_best_view, run_alternating,
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS", "Bvh", "CURVE_KEEP_ALL", "CURVE_STRIDE", "CertifiedInstance",
-    "CoverageState", "CoverageTable", "CurveRow", "FormatError", "HalfEdge",
-    "MethodRow", "NetworkConfig", "Plan", "Submesh", "SyntheticSpec", "TraceVector",
+    "CoverageState", "CoverageTable", "CurveRow", "FormatError", "MethodRow",
+    "NetworkConfig", "Plan", "Submesh", "SyntheticSpec", "TraceVector",
     "TrainConfig", "TrainedModel", "TriangleMesh", "ValueNetwork", "ViewPoint",
     "apply_update", "brute_force_boundary", "build_bvh", "curve_rows", "encode_input",
     "exact_min_cover", "forward", "generate_instance", "gradient",
@@ -35,6 +35,6 @@ __all__ = [
     "method_row", "next_best_view", "plan_with_model", "planar_grid",
     "precompute_coverage", "ray_triangle", "run_alternating", "run_fixed_lambda",
     "save_cameras", "save_coverage", "save_mesh", "save_model", "save_plan", "score",
-    "train", "triangle_bits", "union_boundary", "union_coverage", "view_coverage",
+    "train", "triangle_bits", "union_coverage", "view_coverage",
     "write_curve_csv", "write_method_csv",
 ]

@@ -41,6 +41,13 @@ ALGORITHMS = ("sarsa", "watkins-q", "td")
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of one training run.
+
+    `epsilon` is the exploration rate during the first `epsilon_episodes`
+    episodes: watkins-q only; sarsa and td are greedy, so for them these two
+    settings change nothing but the values stored in the model file.
+    """
+
     algorithm: str
     lambda_set: tuple[float, ...] = (0.0, 1.0)
     alpha: float = 0.01

@@ -55,8 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int, default=200)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--trace-decay", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--epsilon-episodes", type=int, default=50_000)
+    p.add_argument("--epsilon", type=float, default=0.1,
+                   help="exploration rate; watkins-q only; sarsa and td are greedy")
+    p.add_argument("--epsilon-episodes", type=int, default=50_000,
+                   help="episodes that explore; watkins-q only; sarsa and td are greedy")
     p.add_argument("--lambda-set", default="0,1")
     p.set_defaults(func=_cmd_train)
 

@@ -1,30 +1,37 @@
 """Indexed triangle meshes and coverage submeshes.
 
-A submesh is a subset of a mesh's triangles with a cached surface area and
-oriented boundary. Unions of submeshes update both caches incrementally, so
-repeated candidate scoring never re-walks the whole triangle set.
+A mesh has one undirected edge table: `edges` (u < v), `tri_edges` (three edge
+ids per triangle) and `edge_length`. A submesh is a triangle bitset with a
+cached area and boundary. On these manifold meshes an edge is on the boundary
+exactly when an odd number of its incident triangles are in the set, so the
+boundary is an edge-id bitset that each added triangle XORs with its three
+edges, and unions only touch the triangles they add. `brute_force_boundary`
+counts incidences from scratch as the cross-check of this parity rule.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
 
-class HalfEdge(NamedTuple):
-    """Directed edge (tail -> head); direction follows the owning triangle's winding."""
-
-    tail: int
-    head: int
-
-    def undirected(self) -> tuple[int, int]:
-        return (self.tail, self.head) if self.tail < self.head else (self.head, self.tail)
-
-
 def iter_bits(bits: int) -> Iterator[int]:
-    """Yield the indices of set bits, ascending."""
+    """Iterate over the indices of set bits, ascending.
+
+    A bitset of a few machine words is peeled one bit at a time; a longer one
+    is unpacked with numpy, whose fixed cost is then the smaller one.
+    """
+    if bits < 0:
+        raise ValueError(f"a bitset is a nonnegative int, got {bits}")
+    if bits.bit_length() <= 256:
+        return _peel_bits(bits)
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return iter(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+
+
+def _peel_bits(bits: int) -> Iterator[int]:
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1
@@ -41,9 +48,10 @@ def triangle_bits(indices: Iterable[int]) -> int:
 class TriangleMesh:
     """Immutable vertex/triangle arrays with precomputed per-triangle quantities.
 
-    Every undirected edge may have at most two incident triangles, and a shared
-    edge must appear with opposite direction in its two triangles (consistent
-    winding). Degenerate triangles are kept and contribute zero area.
+    Vertex coordinates must be finite. Every undirected edge may have at most
+    two incident triangles, and a shared edge must appear with opposite
+    direction in its two triangles (consistent winding). Degenerate triangles
+    are kept and contribute zero area.
     """
 
     def __init__(self, vertices, triangles, normalization_scale: float = 1.0):
@@ -55,13 +63,13 @@ class TriangleMesh:
             raise ValueError(f"triangles must be (T, 3), got {triangles.shape}")
         if len(triangles) == 0:
             raise ValueError("mesh has no triangles")
+        finite = np.isfinite(vertices).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
         if triangles.min() < 0 or triangles.max() >= len(vertices):
             raise ValueError("triangle references a vertex out of range")
-        same = (
-            (triangles[:, 0] == triangles[:, 1])
-            | (triangles[:, 1] == triangles[:, 2])
-            | (triangles[:, 2] == triangles[:, 0])
-        )
+        heads = triangles[:, [1, 2, 0]]  # edge i of a triangle runs from vertex i to heads[i]
+        same = (triangles == heads).any(axis=1)
         if same.any():
             raise ValueError(f"triangle {int(np.argmax(same))} repeats a vertex")
         if not (normalization_scale > 0.0):
@@ -79,37 +87,37 @@ class TriangleMesh:
         self.triangle_normal = cross  # unnormalized; winding decides the facing side
         self.triangle_centroid = (v0 + v1 + v2) / 3.0
 
-        self._tri_rows = triangles.tolist()  # plain-int rows for boundary walks
-        adjacency: dict[tuple[int, int], tuple[int, ...]] = {}
-        direction_seen: dict[tuple[int, int], tuple[int, int]] = {}
-        for t, (a, b, c) in enumerate(self._tri_rows):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                incident = adjacency.get(key)
-                if incident is None:
-                    adjacency[key] = (t,)
-                    direction_seen[key] = (u, v)
-                elif len(incident) == 1:
-                    if direction_seen[key] == (u, v):
-                        raise ValueError(
-                            f"edge {key} traversed twice in the same direction; inconsistent winding"
-                        )
-                    adjacency[key] = (incident[0], t)
-                else:
-                    raise ValueError(f"edge {key} has more than two incident triangles")
-        self.edge_adjacency = adjacency
-        self.edge_length = {
-            key: float(np.linalg.norm(vertices[key[1]] - vertices[key[0]])) for key in adjacency
-        }
+        n_v = len(vertices)
+        keys = np.minimum(triangles, heads) * n_v + np.maximum(triangles, heads)
+        keys, tri_edges, counts = np.unique(keys.ravel(), return_inverse=True, return_counts=True)
+        self.edges = np.stack([keys // n_v, keys % n_v], axis=1)
+        crowded = counts > 2
+        if crowded.any():
+            e = int(np.argmax(crowded))
+            raise ValueError(f"edge {tuple(self.edges[e].tolist())} has more than two incident triangles")
+        forward = np.bincount(tri_edges[(triangles < heads).ravel()], minlength=len(keys))
+        same_way = (counts == 2) & (forward != 1)
+        if same_way.any():
+            e = int(np.argmax(same_way))
+            raise ValueError(f"edge {tuple(self.edges[e].tolist())} traversed twice in the same "
+                             "direction; inconsistent winding")
+        self.tri_edges = tri_edges.reshape(-1, 3)
+        # sqrt of a per-row dot product, as np.linalg.norm computes one vector's
+        # norm, so each length is bit-identical to the norm of that edge alone
+        d = vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]]
+        self.edge_length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
 
+        # Plain-Python copies for the per-triangle loops of submesh bookkeeping.
+        self._tri_rows = triangles.tolist()
+        self._area_list = self.triangle_area.tolist()
+        self._length_list = self.edge_length.tolist()
+        self._tri_edge_rows = self.tri_edges.tolist()
         self._full_bits = (1 << len(triangles)) - 1
         self._digest: str | None = None
 
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
-        self.triangle_area.setflags(write=False)
-        self.triangle_normal.setflags(write=False)
-        self.triangle_centroid.setflags(write=False)
+        for arr in (self.vertices, self.triangles, self.triangle_area, self.triangle_normal,
+                    self.triangle_centroid, self.edges, self.tri_edges, self.edge_length):
+            arr.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -151,40 +159,38 @@ class TriangleMesh:
         return self._digest
 
     def area_of_bits(self, bits: int) -> float:
-        total = 0.0
-        for t in iter_bits(bits):
-            total += self.triangle_area[t]
-        return total
+        """Sum of triangle areas, added in ascending triangle order."""
+        return _sum_in_order(self._area_list, bits)
 
     def _check_bits(self, bits: int) -> None:
         if bits < 0 or bits >> self.n_triangles:
             raise ValueError("triangle bitset out of range for this mesh")
 
 
-def brute_force_boundary(mesh: TriangleMesh, bits: int) -> frozenset[HalfEdge]:
-    """Boundary of a triangle set by per-edge incidence counting.
+def brute_force_boundary(mesh: TriangleMesh, bits: int) -> frozenset[tuple[int, int]]:
+    """Boundary edges (u, v), u < v, of a triangle set by per-edge incidence counting.
 
     An edge is on the boundary iff exactly one in-set triangle is incident to
-    it; its direction is that triangle's winding. Reference implementation for
-    from-scratch construction; unions use the incremental rule instead.
+    it. Reference implementation that shares nothing with the edge table;
+    tests hold submesh boundaries against it.
     """
     mesh._check_bits(bits)
-    tally: dict[tuple[int, int], list] = {}
+    tally: dict[tuple[int, int], int] = {}
     rows = mesh._tri_rows
     for t in iter_bits(bits):
         a, b, c = rows[t]
         for u, v in ((a, b), (b, c), (c, a)):
             key = (u, v) if u < v else (v, u)
-            entry = tally.get(key)
-            if entry is None:
-                tally[key] = [1, (u, v)]
-            else:
-                entry[0] += 1
-    return frozenset(HalfEdge(*he) for count, he in tally.values() if count == 1)
+            tally[key] = tally.get(key, 0) + 1
+    return frozenset(key for key, count in tally.items() if count == 1)
 
 
 class Submesh:
-    """Triangle subset with cached area and oriented boundary. Immutable."""
+    """Triangle subset with cached area and boundary. Immutable.
+
+    `bits` is the triangle bitset and `boundary` the bitset of boundary edge
+    ids (indices into `mesh.edges`).
+    """
 
     __slots__ = ("mesh", "bits", "boundary", "area", "boundary_length")
 
@@ -197,15 +203,14 @@ class Submesh:
 
     @classmethod
     def empty(cls, mesh: TriangleMesh) -> Submesh:
-        return cls(mesh, 0, frozenset(), 0.0, 0.0)
+        return cls(mesh, 0, 0, 0.0, 0.0)
 
     @classmethod
     def from_triangles(cls, mesh: TriangleMesh, triangles) -> Submesh:
         """Build from a bitset or an iterable of triangle indices."""
         bits = triangles if isinstance(triangles, int) else triangle_bits(triangles)
         mesh._check_bits(bits)
-        boundary = brute_force_boundary(mesh, bits)
-        return cls(mesh, bits, boundary, mesh.area_of_bits(bits), _total_length(mesh, boundary))
+        return _extend(cls.empty(mesh), bits)
 
     @property
     def count(self) -> int:
@@ -226,42 +231,32 @@ class Submesh:
         return f"Submesh({self.count} tris, area={self.area:.6g}, boundary_length={self.boundary_length:.6g})"
 
 
-def _total_length(mesh: TriangleMesh, boundary: frozenset[HalfEdge]) -> float:
-    length = mesh.edge_length
-    return sum(length[he.undirected()] for he in boundary)
+def _extend(x: Submesh, new_bits: int) -> Submesh:
+    """`x` plus the triangles of `new_bits`, none of which may be in `x`.
 
-
-def _edge_of(mesh: TriangleMesh, bits: int, he: HalfEdge) -> bool:
-    # Undirected membership: is this edge an edge of any in-set triangle?
-    incident = mesh.edge_adjacency.get(he.undirected())
-    if incident is None:
-        return False
-    for t in incident:
-        if (bits >> t) & 1:
-            return True
-    return False
-
-
-def union_boundary(x1: Submesh, x2: Submesh) -> frozenset[HalfEdge]:
-    """Boundary of the union from the parts' boundaries alone.
-
-    Keeps a part's boundary half-edge unless its undirected edge belongs to the
-    other part, except that half-edges present in both boundaries with the same
-    direction survive. Opposite-direction pairs (the seam between the parts)
-    cancel, which is why direction matters here while the edge-of test does not.
+    The new areas are summed on their own in ascending triangle order (as in
+    `area_of_bits`) before they are added to `x.area`; each new triangle
+    toggles its three edges in the boundary.
     """
-    if x1.mesh is not x2.mesh:
-        raise ValueError("submeshes belong to different meshes")
-    mesh = x1.mesh
-    b1, b2 = x1.boundary, x2.boundary
-    out = set()
-    for he in b1:
-        if he in b2 or not _edge_of(mesh, x2.bits, he):
-            out.add(he)
-    for he in b2:
-        if he not in b1 and not _edge_of(mesh, x1.bits, he):
-            out.add(he)
-    return frozenset(out)
+    mesh = x.mesh
+    area = mesh._area_list
+    rows = mesh._tri_edge_rows
+    added = 0.0
+    boundary = x.boundary
+    for t in iter_bits(new_bits):
+        added += area[t]
+        a, b, c = rows[t]
+        boundary ^= (1 << a) | (1 << b) | (1 << c)
+    return Submesh(mesh, x.bits | new_bits, boundary, x.area + added,
+                   _sum_in_order(mesh._length_list, boundary))
+
+
+def _sum_in_order(values: list[float], bits: int) -> float:
+    """`values[i]` over the set bits i, added one at a time in ascending order."""
+    total = 0.0
+    for i in iter_bits(bits):
+        total += values[i]
+    return total
 
 
 def union_coverage(x1: Submesh, x2: Submesh) -> Submesh:
@@ -272,11 +267,7 @@ def union_coverage(x1: Submesh, x2: Submesh) -> Submesh:
         return x1
     if x1.bits | x2.bits == x2.bits:
         return x2
-    mesh = x1.mesh
-    new_bits = x2.bits & ~x1.bits
-    area = x1.area + mesh.area_of_bits(new_bits)
-    boundary = union_boundary(x1, x2)
-    return Submesh(mesh, x1.bits | x2.bits, boundary, area, _total_length(mesh, boundary))
+    return _extend(x1, x2.bits & ~x1.bits)
 
 
 def score(x: Submesh, lam: float) -> float:

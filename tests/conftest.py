@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viewplan import Submesh, TriangleMesh, icosphere, triangle_bits
+from viewplan import Submesh, TriangleMesh, icosphere, iter_bits, triangle_bits
 
 
 @pytest.fixture(scope="session")
@@ -21,10 +21,14 @@ def ico3() -> TriangleMesh:
 
 
 def tri_neighbors(mesh: TriangleMesh) -> list[list[int]]:
+    """Edge-sharing triangles of every triangle, from the mesh's edge table."""
+    incident: dict[int, list[int]] = {}  # edge id -> triangles, edges in order first met
+    for i, e in enumerate(mesh.tri_edges.ravel().tolist()):
+        incident.setdefault(e, []).append(i // 3)
     out: list[list[int]] = [[] for _ in range(mesh.n_triangles)]
-    for incident in mesh.edge_adjacency.values():
-        if len(incident) == 2:
-            a, b = incident
+    for pair in incident.values():
+        if len(pair) == 2:
+            a, b = pair
             out[a].append(b)
             out[b].append(a)
     return out
@@ -58,3 +62,9 @@ def random_bits(mesh: TriangleMesh, rng: np.random.Generator, density: float) ->
 
 def submesh_of(mesh: TriangleMesh, bits: int) -> Submesh:
     return Submesh.from_triangles(mesh, bits)
+
+
+def boundary_pairs(x: Submesh) -> frozenset[tuple[int, int]]:
+    """A submesh's boundary edge ids as vertex pairs (u, v) with u < v."""
+    edges = x.mesh.edges.tolist()
+    return frozenset(tuple(edges[e]) for e in iter_bits(x.boundary))

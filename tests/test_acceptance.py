@@ -31,10 +31,10 @@ from viewplan import (
     run_fixed_lambda,
     save_model,
     train,
-    union_boundary,
+    union_coverage,
 )
 
-from conftest import grown_patch, random_bits, submesh_of, tri_neighbors
+from conftest import boundary_pairs, grown_patch, random_bits, submesh_of, tri_neighbors
 
 ALGOS = ("sarsa", "watkins-q", "td")
 
@@ -75,7 +75,7 @@ def trap_models(trap):
     return models, time.perf_counter() - t0
 
 
-# --- 1: sparse union boundary against the from-scratch edge count ----------
+# --- 1: parity union boundary against the from-scratch edge count ----------
 
 
 def test_union_boundary_matches_brute_force_on_random_pairs(ico3, capsys):
@@ -91,8 +91,8 @@ def test_union_boundary_matches_brute_force_on_random_pairs(ico3, capsys):
             else:
                 a = grown_patch(ico3, rng, int(rng.integers(1, 400)), neighbors)
                 b = grown_patch(ico3, rng, int(rng.integers(1, 400)), neighbors)
-            got = union_boundary(submesh_of(ico3, a), submesh_of(ico3, b))
-            assert got == brute_force_boundary(ico3, a | b)
+            got = union_coverage(submesh_of(ico3, a), submesh_of(ico3, b))
+            assert boundary_pairs(got) == brute_force_boundary(ico3, a | b)
             checked += 1
         elapsed = time.perf_counter() - t0
         assert checked == 500

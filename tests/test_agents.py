@@ -236,6 +236,16 @@ class TestTrainingLoops:
         b = train(table, cfg(0.1))
         assert not weights_equal(a.network, b.network)
 
+    def test_epsilon_moves_only_watkins_q(self):
+        table = strip_table(WIDE_SETS)
+        def model(algo, **kw):
+            return train(table, TrainConfig(algorithm=algo, max_episodes=40, hidden=8,
+                                            seed=7, **kw))
+        for algo in ("sarsa", "td"):
+            assert model_digest(model(algo)) == model_digest(
+                model(algo, epsilon=0.5, epsilon_episodes=20))
+        assert model_digest(model("watkins-q")) != model_digest(
+            model("watkins-q", epsilon=0.5, epsilon_episodes=20))
 
     @pytest.mark.parametrize("sets,algo,overrides,digest,order,lams", PINNED_RUNS)
     def test_pinned_weights_and_plan(self, sets, algo, overrides, digest, order, lams):

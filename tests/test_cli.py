@@ -187,6 +187,13 @@ class TestPrecompute:
         plan, _ = load_plan(plan_out)
         assert plan.order == (0,)
 
+    def test_non_finite_vertex_exits_2(self, tmp_path, capsys):
+        mesh, cams = self.write_scene(tmp_path)
+        mesh.write_text(SQUARE_OBJ.replace("v 1 1 0", "v 1 1 nan"))
+        assert main(["precompute", "--mesh", str(mesh), "--cameras", str(cams),
+                     "--out", str(tmp_path / "x.cov")]) == 2
+        assert "vertex 2 has a non-finite coordinate" in capsys.readouterr().err
+
     def test_workers_env_equivalence(self, tmp_path, monkeypatch):
         mesh, cams = self.write_scene(tmp_path)
         seq, par = tmp_path / "seq.cov", tmp_path / "par.cov"

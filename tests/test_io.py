@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewplan import (
     CoverageTable,
@@ -35,6 +37,7 @@ from viewplan import (
     write_method_csv,
 )
 from viewplan.agents import TrainedModel
+from viewplan.cli import main
 
 SQUARE_OBJ = """\
 # unit square, two triangles
@@ -115,6 +118,14 @@ class TestMeshIO:
         p.write_text("v 0 0 0\nv 1 0 0\n")
         with pytest.raises(ValueError):
             load_mesh(p)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_vertex_rejected(self, tmp_path, bad):
+        p = tmp_path / "bad.obj"
+        p.write_text(SQUARE_OBJ.replace("v 1 1 0", f"v 1 1 {bad}"))
+        for normalize in (True, False):
+            with pytest.raises(ValueError, match="vertex 2 has a non-finite coordinate"):
+                load_mesh(p, normalize=normalize)
 
     def test_round_trip_exact(self, tmp_path, ico1):
         p = tmp_path / "ico.obj"
@@ -405,3 +416,58 @@ class TestReports:
         plan = Plan((0,), (), 1.0, "greedy")
         save_plan(tmp_path / "plan.json", plan)
         assert [f.name for f in tmp_path.iterdir()] == ["plan.json"]
+
+
+def mutations(blob: bytes):
+    """Truncations and single-bit flips of `blob`."""
+    cut = st.integers(0, len(blob) - 1).map(lambda n: blob[:n])
+    flip = st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 7)).map(
+        lambda pb: blob[:pb[0]] + bytes([blob[pb[0]] ^ (1 << pb[1])]) + blob[pb[0] + 1:])
+    return st.one_of(cut, flip)
+
+
+@pytest.fixture(scope="module")
+def fuzz_targets(tmp_path_factory):
+    """Per file kind: its loader, a valid file's bytes, the path a mutated copy
+    is written to, and a CLI command that reads that path."""
+    d = tmp_path_factory.mktemp("fuzz")
+    model, table = tiny_model()
+    views = [ViewPoint.aimed([0.5 * k, 1.0, 2.0], fov_y=math.radians(50.0)) for k in range(3)]
+    cov = d / "tiny.cov"
+    save_coverage(cov, CoverageTable.build(table.mesh, views, table.coverage), cert=(2, 2, 2))
+    save_model(d / "tiny.wts", model)
+    save_plan(d / "plan.json", Plan((0, 1), (1.0,), 1.0, "fixed-lambda"), runtime_seconds=0.25)
+    (d / "square.obj").write_text(SQUARE_OBJ)
+    save_cameras(d / "cams.json", [ViewPoint.aimed([0.35, 0.35, 2.0], [0.35, 0.35, 0.0],
+                                                   up_hint=[0.0, 1.0, 0.0])])
+    out = str(d / "out")
+    targets = {
+        "coverage": (load_coverage, cov, lambda p: [
+            "train", "--coverage", p, "--algo", "sarsa", "--seed", "0", "--episodes", "2",
+            "--hidden", "2", "--out", out]),
+        "model": (load_model, d / "tiny.wts", lambda p: [
+            "plan", "--coverage", str(cov), "--model", p, "--out", out]),
+        "plan": (load_plan, d / "plan.json", lambda p: [
+            "report", "--inputs", p, "--csv", out]),
+        "cameras": (load_cameras, d / "cams.json", lambda p: [
+            "precompute", "--mesh", str(d / "square.obj"), "--cameras", p, "--out", out]),
+    }
+    return {kind: (loader, path.read_bytes(), d / f"mutated-{path.name}", argv)
+            for kind, (loader, path, argv) in targets.items()}
+
+
+class TestLoaderFuzz:
+    @pytest.mark.parametrize("kind", ["coverage", "model", "plan", "cameras"])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_fails_cleanly(self, fuzz_targets, kind, data):
+        # a loader either returns or raises FormatError/ValueError (FormatError
+        # is a ValueError), and the CLI maps every such rejection to exit 2
+        loader, blob, path, argv = fuzz_targets[kind]
+        path.write_bytes(data.draw(mutations(blob)))
+        try:
+            loader(path)
+        except ValueError:
+            assert main(argv(str(path))) == 2
+        else:
+            assert main(argv(str(path))) in (0, 2, 3)

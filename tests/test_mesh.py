@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewplan import (HalfEdge, Submesh, TriangleMesh, brute_force_boundary, score,
-                      triangle_bits, union_boundary, union_coverage)
+from viewplan import (Submesh, TriangleMesh, brute_force_boundary, iter_bits, score,
+                      triangle_bits, union_coverage)
 
-from conftest import grown_patch, random_bits, submesh_of
+from conftest import boundary_pairs, grown_patch, random_bits, submesh_of
 
 
 def incidence_boundary(mesh: TriangleMesh, bits: int) -> set[tuple[int, int]]:
@@ -16,26 +16,23 @@ def incidence_boundary(mesh: TriangleMesh, bits: int) -> set[tuple[int, int]]:
     idx = [t for t in range(mesh.n_triangles) if (bits >> t) & 1]
     tris = mesh.triangles[idx]
     directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    keys = directed.min(axis=1) * mesh.n_vertices + directed.max(axis=1)
+    undirected = np.sort(directed, axis=1)
+    keys = undirected[:, 0] * mesh.n_vertices + undirected[:, 1]
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    single = directed[counts[inverse] == 1]
+    single = undirected[counts[inverse] == 1]
     return {(int(a), int(b)) for a, b in single}
-
-
-def as_pairs(boundary) -> set[tuple[int, int]]:
-    return {(he.tail, he.head) for he in boundary}
 
 
 class TestBoundary:
     def test_single_triangle_of_square(self, unit_square):
         t1 = submesh_of(unit_square, triangle_bits([0]))
-        assert as_pairs(t1.boundary) == {(0, 1), (1, 2), (2, 0)}
+        assert boundary_pairs(t1) == {(0, 1), (1, 2), (0, 2)}
 
     def test_square_union_has_four_outer_edges(self, unit_square):
         t1 = submesh_of(unit_square, triangle_bits([0]))
         t2 = submesh_of(unit_square, triangle_bits([1]))
         u = union_coverage(t1, t2)
-        assert as_pairs(u.boundary) == {(0, 1), (1, 2), (2, 3), (3, 0)}
+        assert boundary_pairs(u) == {(0, 1), (1, 2), (2, 3), (0, 3)}
         assert u.area == pytest.approx(1.0)
         assert u.boundary_length == pytest.approx(4.0)
 
@@ -43,35 +40,36 @@ class TestBoundary:
         rng = np.random.default_rng(7)
         for _ in range(30):
             bits = grown_patch(ico3, rng, 40)
-            assert as_pairs(brute_force_boundary(ico3, bits)) == incidence_boundary(ico3, bits)
+            assert brute_force_boundary(ico3, bits) == incidence_boundary(ico3, bits)
         for density in (0.05, 0.3, 0.7, 0.95):
             bits = random_bits(ico3, rng, density)
-            assert as_pairs(brute_force_boundary(ico3, bits)) == incidence_boundary(ico3, bits)
+            assert brute_force_boundary(ico3, bits) == incidence_boundary(ico3, bits)
 
     def test_union_rule_matches_brute_force(self, ico1):
         rng = np.random.default_rng(21)
         for _ in range(100):
             x1 = submesh_of(ico1, random_bits(ico1, rng, rng.uniform(0.05, 0.9)))
             x2 = submesh_of(ico1, random_bits(ico1, rng, rng.uniform(0.05, 0.9)))
-            assert union_boundary(x1, x2) == brute_force_boundary(ico1, x1.bits | x2.bits)
+            u = union_coverage(x1, x2)
+            assert boundary_pairs(u) == brute_force_boundary(ico1, x1.bits | x2.bits)
 
     def test_union_rule_cancels_seam_between_adjacent_parts(self, unit_square):
         # the parts share the diagonal; it must not survive into the union
         t1 = submesh_of(unit_square, triangle_bits([0]))
         t2 = submesh_of(unit_square, triangle_bits([1]))
-        seam = {(0, 2), (2, 0)}
-        assert not (as_pairs(union_boundary(t1, t2)) & seam)
+        assert (0, 2) in boundary_pairs(t1) and (0, 2) in boundary_pairs(t2)
+        assert (0, 2) not in boundary_pairs(union_coverage(t1, t2))
 
     def test_union_with_self_is_identity(self, ico1):
         rng = np.random.default_rng(3)
         x = submesh_of(ico1, random_bits(ico1, rng, 0.4))
-        assert union_boundary(x, x) == x.boundary
+        u = union_coverage(x, x)
+        assert u.boundary == x.boundary
+        assert u.boundary_length == x.boundary_length
 
     def test_mismatched_meshes_rejected(self, unit_square, ico1):
         a = submesh_of(unit_square, 1)
         b = submesh_of(ico1, 1)
-        with pytest.raises(ValueError):
-            union_boundary(a, b)
         with pytest.raises(ValueError):
             union_coverage(a, b)
 
@@ -97,6 +95,7 @@ class TestUnionCoverage:
             b = union_coverage(x2, x1)
             assert a.bits == b.bits
             assert a.boundary == b.boundary
+            assert a.boundary_length == b.boundary_length  # same edges, same order
             assert a.area == pytest.approx(b.area, rel=1e-12)
 
     def test_cached_area_matches_recomputation(self, ico3):
@@ -113,8 +112,8 @@ class TestUnionCoverage:
         for _ in range(12):
             acc = union_coverage(acc, submesh_of(ico3, random_bits(ico3, rng, 0.1)))
         verts = ico3.vertices
-        direct = float(sum(np.linalg.norm(verts[he.head] - verts[he.tail])
-                           for he in acc.boundary))
+        direct = float(sum(np.linalg.norm(verts[v] - verts[u])
+                           for u, v in boundary_pairs(acc)))
         assert acc.boundary_length == pytest.approx(direct, rel=1e-9)
 
 
@@ -137,7 +136,8 @@ class TestScore:
 
     def test_closed_surface_has_no_boundary(self, ico1):
         full = submesh_of(ico1, ico1.full_bits)
-        assert full.boundary == frozenset()
+        assert full.boundary == 0
+        assert boundary_pairs(full) == frozenset()
         assert full.boundary_length == 0.0
         assert score(full, 0.0) == pytest.approx(full.area)
         assert score(full, 1.0) == math.inf
@@ -180,6 +180,8 @@ class TestMeshValidation:
         verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
         with pytest.raises(ValueError, match="winding"):
             TriangleMesh(verts, [[0, 1, 2], [0, 3, 2]])  # second should be (0, 2, 3)
+        with pytest.raises(ValueError, match="winding"):
+            TriangleMesh(verts, [[0, 2, 1], [0, 2, 3]])  # both run 0 -> 2
 
     def test_degenerate_index_rejected(self):
         with pytest.raises(ValueError, match="repeats"):
@@ -210,7 +212,34 @@ class TestMeshValidation:
         moved = TriangleMesh(ico1.vertices + 1e-9, ico1.triangles)
         assert moved.digest != ico1.digest
 
-    def test_half_edge_types_are_plain_ints(self, unit_square):
-        he = next(iter(submesh_of(unit_square, 1).boundary))
-        assert isinstance(he, HalfEdge)
-        assert type(he.tail) is int and type(he.head) is int
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        verts = [[0, 0, 0], [1, 0, 0], [0, 1, bad]]
+        with pytest.raises(ValueError, match="vertex 2 has a non-finite coordinate"):
+            TriangleMesh(verts, [[0, 1, 2]])
+
+    def test_edge_table_matches_triangles(self, ico1):
+        edges = ico1.edges.tolist()
+        assert len(edges) == 120 and len(set(map(tuple, edges))) == 120
+        assert all(u < v for u, v in edges)
+        for (a, b, c), ids in zip(ico1.triangles.tolist(), ico1.tri_edges.tolist()):
+            expect = {tuple(sorted(p)) for p in ((a, b), (b, c), (c, a))}
+            assert {tuple(edges[e]) for e in ids} == expect
+        for (u, v), length in zip(edges, ico1.edge_length.tolist()):
+            assert length == float(np.linalg.norm(ico1.vertices[v] - ico1.vertices[u]))
+
+    def test_brute_force_edges_are_plain_int_pairs(self, unit_square):
+        edges = brute_force_boundary(unit_square, 1)
+        assert edges == {(0, 1), (1, 2), (0, 2)}
+        assert all(type(u) is int and type(v) is int for u, v in edges)
+
+
+class TestIterBits:
+    @pytest.mark.parametrize("indices", [[], [0], [3, 64, 200], [0, 255, 256, 1000, 4099]])
+    def test_ascending_indices_on_both_sides_of_the_numpy_cutover(self, indices):
+        assert list(iter_bits(triangle_bits(indices))) == indices
+
+    @pytest.mark.parametrize("bits", [-1, -(1 << 300)])
+    def test_negative_bitset_rejected(self, bits):
+        with pytest.raises(ValueError, match="nonnegative"):
+            iter_bits(bits)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from viewplan import (
     CoverageTable,
     Submesh,
     TriangleMesh,
+    ViewPoint,
     grid_square_triangles,
     icosphere,
     is_terminal,
     next_best_view,
     planar_grid,
+    precompute_coverage,
     run_alternating,
     run_fixed_lambda,
     score,
@@ -264,6 +268,35 @@ class TestRuns:
         for lam in (0.0, 0.5, 1.0, 2.0):
             assert (run_fixed_lambda(table, lam).order
                     == run_fixed_lambda(big_table, lam).order)
+
+    def test_pinned_orders_on_icosphere_ring(self):
+        # Grid boundaries are sums of edges of length 1.0, exact in any order
+        # and equal to the edge count. On this stretched icosphere edge lengths
+        # differ, so these orders also pin how boundary lengths are measured
+        # (a boundary scored by edge count flips the lam=2 order). They were
+        # recorded with the directed half-edge boundary rule that the parity
+        # rule replaced; at every step the best score leads the runner-up by
+        # at least 0.6%, far above rounding.
+        rng = np.random.default_rng(1)
+        views = []
+        for k in range(8):
+            a = 2 * math.pi * (k + rng.uniform(-0.3, 0.3)) / 8
+            r, z = rng.uniform(2.0, 3.0), rng.uniform(-1.2, 1.2)
+            views.append(ViewPoint.aimed((r * math.cos(a), r * math.sin(a), z),
+                                         fov_y=math.radians(40)))
+        sphere = icosphere(2)
+        mesh = TriangleMesh(sphere.vertices * [1.6, 1.0, 0.6], sphere.triangles)
+        table = precompute_coverage(mesh, views)
+        assert [c.count for c in table.coverage] == [91, 45, 44, 58, 64, 34, 44, 67]
+        expected = {0.0: (0, 7, 4, 3, 5, 1, 6), 0.5: (0, 7, 3, 4, 5, 1, 6),
+                    1.0: (0, 7, 3, 1, 4, 5, 6), 2.0: (7, 6, 0, 3, 1, 4, 5),
+                    "alt": (0, 7, 4, 3, 5, 1, 6)}
+        plans = {lam: run_fixed_lambda(table, lam) for lam in (0.0, 0.5, 1.0, 2.0)}
+        plans["alt"] = run_alternating(table)
+        for key, plan in plans.items():
+            assert plan.order == expected[key], key
+            assert plan.complete
+            assert plan.final_coverage_fraction == pytest.approx(1.0)
 
     def test_greedy_matches_set_oracle(self, ico1):
         rng = np.random.default_rng(29)
