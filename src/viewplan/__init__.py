@@ -13,8 +13,8 @@ from .io import (CURVE_KEEP_ALL, CURVE_STRIDE, CurveRow, FormatError, MethodRow,
                  save_model, save_plan, write_curve_csv, write_method_csv)
 from .mesh import (Submesh, TriangleMesh, brute_force_boundary, iter_bits, score,
                    triangle_bits, union_coverage)
-from .network import (NetworkConfig, TraceVector, ValueNetwork, apply_update, encode_input,
-                      forward, gradient, init_network)
+from .network import (NetworkConfig, ValueNetwork, apply_update, encode_input, forward,
+                      gradient, init_network)
 from .planner import (CoverageState, Plan, is_terminal, next_best_view, run_alternating,
                       run_fixed_lambda)
 from .raycast import Bvh, build_bvh, ray_triangle
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS", "Bvh", "CURVE_KEEP_ALL", "CURVE_STRIDE", "CertifiedInstance",
     "CoverageState", "CoverageTable", "CurveRow", "FormatError", "MethodRow",
-    "NetworkConfig", "Plan", "Submesh", "SyntheticSpec", "TraceVector",
+    "NetworkConfig", "Plan", "Submesh", "SyntheticSpec",
     "TrainConfig", "TrainedModel", "TriangleMesh", "ValueNetwork", "ViewPoint",
     "apply_update", "brute_force_boundary", "build_bvh", "curve_rows", "encode_input",
     "exact_min_cover", "forward", "generate_instance", "gradient",

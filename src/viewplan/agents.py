@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (NetworkConfig, TraceVector, ValueNetwork, apply_update,
-                      encode_input, forward, gradient, init_network)
+from .network import (NetworkConfig, ValueNetwork, apply_update, encode_input, forward,
+                      gradient, init_network)
 from .planner import CoverageState, Plan, coverage_fraction, is_terminal, next_best_view
 from .visibility import CoverageTable
 
@@ -56,7 +56,6 @@ class TrainConfig:
     rcc: float = 1.0
     epsilon: float = 0.1
     epsilon_episodes: int = 50_000
-    gamma: float = 1.0
     seed: int = 0
     hidden: int = 200
     init_scale: float = 0.1
@@ -84,8 +83,6 @@ class TrainConfig:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.epsilon_episodes < 0:
             raise ValueError(f"epsilon_episodes must be >= 0, got {self.epsilon_episodes}")
-        if self.gamma != 1.0:
-            raise ValueError("transitions are undiscounted; gamma must stay 1.0")
 
 
 @dataclass(eq=False)
@@ -105,9 +102,23 @@ class TrainedModel:
         return [(int(n), -int(n)) for n in self.episode_lengths]
 
 
-def _derive_seeds(seed: int):
-    init_child, episode_child = np.random.SeedSequence(seed).spawn(2)
-    return int(init_child.generate_state(1)[0]), np.random.default_rng(episode_child)
+def _seed_children(seed: int):
+    """(network init, episode draws): independent streams from the run seed."""
+    return np.random.SeedSequence(seed).spawn(2)
+
+
+def input_width(algorithm: str, n_views: int, n_actions: int) -> int:
+    """Network input: the state bits, then a one-hot lam block for the
+    action-value agents (sarsa, watkins-q)."""
+    return n_views if algorithm == "td" else n_views + n_actions
+
+
+def network_config(config: TrainConfig, n_views: int) -> NetworkConfig:
+    """The network that `train` builds for `config` on `n_views` views,
+    including the initialization seed derived from `config.seed`."""
+    init_seed = int(_seed_children(config.seed)[0].generate_state(1)[0])
+    return NetworkConfig(input_width(config.algorithm, n_views, len(config.lambda_set)),
+                         config.hidden, config.init_scale, init_seed)
 
 
 def _best_action(net: ValueNetwork, state_vec: np.ndarray, n_actions: int) -> tuple[int, float]:
@@ -154,10 +165,9 @@ def train(table: CoverageTable, config: TrainConfig, callback=None) -> TrainedMo
     n_actions = len(lams)
     td = config.algorithm == "td"
     watkins = config.algorithm == "watkins-q"
-    net_seed, rng = _derive_seeds(config.seed)
-    input_dim = n if td else n + n_actions
-    net = init_network(NetworkConfig(input_dim, config.hidden, config.init_scale, net_seed))
-    trace = TraceVector.zeros(net.config)
+    net = init_network(network_config(config, n))
+    rng = np.random.default_rng(_seed_children(config.seed)[1])
+    trace = np.zeros_like(net.params)
     lengths = np.empty(config.max_episodes, dtype=np.int32)
 
     def select(vec, eps):
@@ -172,13 +182,13 @@ def train(table: CoverageTable, config: TrainConfig, callback=None) -> TrainedMo
         state = CoverageState.initial(table).add(table, start)
         vec = np.zeros(n)
         vec[start] = 1.0
-        trace.reset()
+        trace.fill(0.0)
         transitions = 0
         act = None if td else select(vec, eps)[0]
         while True:
-            x = encode_input(vec, act, n_actions)
-            trace.accumulate(gradient(net, x))
-            delta = REWARD - forward(net, x)
+            estimate, grad = gradient(net, encode_input(vec, act, n_actions))
+            trace += grad
+            delta = REWARD - estimate
             if is_terminal(state, table, config.rcc):
                 apply_update(net, trace, delta, config.alpha)
                 break
@@ -200,9 +210,9 @@ def train(table: CoverageTable, config: TrainConfig, callback=None) -> TrainedMo
             if watkins:
                 act, explored = select(vec, eps)
                 if explored:
-                    trace.reset()
+                    trace.fill(0.0)
                     continue
-            trace.scale(config.mu_e)
+            trace *= config.mu_e
         lengths[ep] = transitions
         if callback is not None:
             callback(ep, transitions)

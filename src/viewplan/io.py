@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import ALGORITHMS, TrainConfig, TrainedModel
+from .agents import ALGORITHMS, TrainConfig, TrainedModel, input_width, network_config
 from .mesh import Submesh, TriangleMesh
-from .network import NetworkConfig, ValueNetwork
+from .network import ValueNetwork
 from .planner import Plan
 from .visibility import CoverageTable, ViewPoint
 
@@ -73,6 +73,9 @@ class _Reader:
     def array(self, dtype: str, count: int) -> np.ndarray:
         dt = np.dtype(dtype)
         return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).copy()
+
+    def fail(self, at: int, message: str) -> FormatError:
+        return FormatError(f"{self.label}: {message} (at byte {at})")
 
     def expect_end(self) -> None:
         if self.off != len(self.data):
@@ -129,6 +132,13 @@ def save_mesh(path, mesh: TriangleMesh) -> None:
 
 # ---------------------------------------------------------------- cameras JSON
 
+def _normalized(name: str, v: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(v)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"{name} must be a nonzero finite vector, got {v.tolist()}")
+    return v / norm
+
+
 def load_cameras(path) -> list[ViewPoint]:
     """Camera list; angles are degrees in the file and radians in memory."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -143,14 +153,11 @@ def load_cameras(path) -> list[ViewPoint]:
     views = []
     for i, cam in enumerate(cams):
         try:
-            direction = np.asarray(cam["direction"], dtype=np.float64)
-            direction = direction / np.linalg.norm(direction)
-            up = np.asarray(cam["up"], dtype=np.float64)
-            up = up / np.linalg.norm(up)
             views.append(ViewPoint(
                 position=np.asarray(cam["position"], dtype=np.float64),
-                direction=direction,
-                up=up,
+                direction=_normalized(
+                    "direction", np.asarray(cam["direction"], dtype=np.float64)),
+                up=_normalized("up", np.asarray(cam["up"], dtype=np.float64)),
                 fov_y=math.radians(float(cam["fov_y_deg"])),
                 aspect=float(cam.get("aspect", 1.0)),
                 near=float(cam.get("near", 0.01)),
@@ -221,10 +228,11 @@ def save_coverage(path, table: CoverageTable, cert: tuple | None = None) -> None
 def load_coverage(path) -> tuple[CoverageTable, tuple | None]:
     r = _Reader(Path(path).read_bytes(), str(path))
     if r.take(4) != COVERAGE_MAGIC:
-        raise FormatError(f"{path}: not a coverage cache (bad magic)")
+        raise r.fail(0, "not a coverage cache (bad magic)")
     version = r.u32()
     if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported coverage version {version}")
+        raise r.fail(4, f"unsupported coverage version {version}")
+    digest_at = r.off
     stored_digest = r.take(32).hex()
     n_verts = r.u32()
     n_tris = r.u32()
@@ -233,7 +241,7 @@ def load_coverage(path) -> tuple[CoverageTable, tuple | None]:
     scale = r.f64()
     mesh = TriangleMesh(vertices, triangles, normalization_scale=scale)
     if mesh.digest != stored_digest:
-        raise FormatError(f"{path}: mesh digest mismatch; cache is stale or corrupt")
+        raise r.fail(digest_at, "mesh digest mismatch; cache is stale or corrupt")
     n_views = r.u32()
     coverage = []
     for _ in range(n_views):
@@ -258,17 +266,15 @@ def load_coverage(path) -> tuple[CoverageTable, tuple | None]:
 # ---------------------------------------------------------------- model weights
 
 def save_model(path, model: TrainedModel) -> None:
-    net = model.network
+    """Weights file: header, the network's flat parameter vector (see
+    `ValueNetwork`), training config JSON, digests, and episode lengths."""
     cfg = model.config
     out = bytearray()
     out += WEIGHTS_MAGIC
     out += struct.pack("<I", FORMAT_VERSION)
     out += struct.pack("<B", _ALGO_CODE[cfg.algorithm])
     out += struct.pack("<III", model.n_views, len(cfg.lambda_set), cfg.hidden)
-    out += net.hidden_w.astype("<f8").tobytes()  # row-major
-    out += net.hidden_b.astype("<f8").tobytes()
-    out += net.out_w.astype("<f8").tobytes()
-    out += struct.pack("<d", net.out_b)
+    out += model.network.params.astype("<f8").tobytes()
     blob = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":")).encode("utf-8")
     out += struct.pack("<I", len(blob))
     out += blob
@@ -283,33 +289,38 @@ def save_model(path, model: TrainedModel) -> None:
 def load_model(path) -> TrainedModel:
     r = _Reader(Path(path).read_bytes(), str(path))
     if r.take(4) != WEIGHTS_MAGIC:
-        raise FormatError(f"{path}: not a model weights file (bad magic)")
+        raise r.fail(0, "not a model weights file (bad magic)")
     version = r.u32()
     if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported weights version {version}")
+        raise r.fail(4, f"unsupported weights version {version}")
     algo_code = r.u8()
     if algo_code not in _CODE_ALGO:
-        raise FormatError(f"{path}: unknown algorithm tag {algo_code}")
+        raise r.fail(8, f"unknown algorithm tag {algo_code}")
     algorithm = _CODE_ALGO[algo_code]
     n_views = r.u32()
     n_actions = r.u32()
     hidden = r.u32()
-    input_dim = n_views if algorithm == "td" else n_views + n_actions
-    hidden_w = r.array("<f8", hidden * input_dim).reshape(hidden, input_dim)
-    hidden_b = r.array("<f8", hidden)
-    out_w = r.array("<f8", hidden)
-    out_b = r.f64()
+    params_at = r.off
+    params = r.array("<f8", hidden * (input_width(algorithm, n_views, n_actions) + 2) + 1)
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise r.fail(params_at + 8 * int(bad[0]), "non-finite network parameter")
     cfg_len = r.u32()
+    cfg_at = r.off
+    blob = r.take(cfg_len)
     try:
-        raw_cfg = json.loads(r.take(cfg_len).decode("utf-8"))
+        raw_cfg = json.loads(blob.decode("utf-8"))
         raw_cfg["lambda_set"] = tuple(raw_cfg["lambda_set"])
+        # files from before gamma was dropped from TrainConfig store "gamma": 1.0
+        if raw_cfg.pop("gamma", 1.0) != 1.0:
+            raise ValueError("gamma must be 1.0: transitions are undiscounted")
         cfg = TrainConfig(**raw_cfg)
     except (ValueError, KeyError, TypeError) as err:
-        raise FormatError(f"{path}: bad embedded config: {err}") from err
+        raise r.fail(cfg_at, f"bad embedded config: {err}") from err
     if cfg.algorithm != algorithm:
-        raise FormatError(f"{path}: header says {algorithm}, config says {cfg.algorithm}")
+        raise r.fail(cfg_at, f"header says {algorithm}, config says {cfg.algorithm}")
     if cfg.hidden != hidden or len(cfg.lambda_set) != n_actions:
-        raise FormatError(f"{path}: header and config disagree on network shape")
+        raise r.fail(cfg_at, "header and config disagree on network shape")
     mesh_digest = r.take(32).hex()
     table_digest = r.take(32).hex()
     lengths = np.zeros(0, dtype=np.int32)
@@ -317,8 +328,7 @@ def load_model(path) -> TrainedModel:
         count = r.u32()
         lengths = r.array("<i4", count)
     r.expect_end()
-    net = ValueNetwork(NetworkConfig(input_dim, hidden, cfg.init_scale, cfg.seed),
-                       hidden_w, hidden_b, out_w, out_b)
+    net = ValueNetwork(network_config(cfg, n_views), params)
     return TrainedModel(net, cfg, lengths, mesh_digest, table_digest, n_views)
 
 

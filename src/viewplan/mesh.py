@@ -48,10 +48,11 @@ def triangle_bits(indices: Iterable[int]) -> int:
 class TriangleMesh:
     """Immutable vertex/triangle arrays with precomputed per-triangle quantities.
 
-    Vertex coordinates must be finite. Every undirected edge may have at most
-    two incident triangles, and a shared edge must appear with opposite
-    direction in its two triangles (consistent winding). Degenerate triangles
-    are kept and contribute zero area.
+    Vertex coordinates must be finite, and small enough that triangle areas,
+    centroids and edge lengths do not overflow float64. Every undirected edge
+    may have at most two incident triangles, and a shared edge must appear
+    with opposite direction in its two triangles (consistent winding).
+    Degenerate triangles are kept and contribute zero area.
     """
 
     def __init__(self, vertices, triangles, normalization_scale: float = 1.0):
@@ -82,10 +83,12 @@ class TriangleMesh:
         v0 = vertices[triangles[:, 0]]
         v1 = vertices[triangles[:, 1]]
         v2 = vertices[triangles[:, 2]]
-        cross = np.cross(v1 - v0, v2 - v0)
-        self.triangle_area = 0.5 * np.linalg.norm(cross, axis=1)
+        # finite coordinates can still overflow here; checked once measured below
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = np.cross(v1 - v0, v2 - v0)
+            self.triangle_area = 0.5 * np.linalg.norm(cross, axis=1)
+            self.triangle_centroid = (v0 + v1 + v2) / 3.0
         self.triangle_normal = cross  # unnormalized; winding decides the facing side
-        self.triangle_centroid = (v0 + v1 + v2) / 3.0
 
         n_v = len(vertices)
         keys = np.minimum(triangles, heads) * n_v + np.maximum(triangles, heads)
@@ -104,8 +107,15 @@ class TriangleMesh:
         self.tri_edges = tri_edges.reshape(-1, 3)
         # sqrt of a per-row dot product, as np.linalg.norm computes one vector's
         # norm, so each length is bit-identical to the norm of that edge alone
-        d = vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]]
-        self.edge_length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = vertices[self.edges[:, 1]] - vertices[self.edges[:, 0]]
+            self.edge_length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+        measured = (np.isfinite(self.triangle_area)
+                    & np.isfinite(self.triangle_centroid).all(axis=1)
+                    & np.isfinite(self.edge_length[self.tri_edges]).all(axis=1))
+        if not measured.all():
+            raise ValueError(f"triangle {int(np.argmin(measured))} overflows float64; "
+                             "vertex coordinates are too large")
 
         # Plain-Python copies for the per-triangle loops of submesh bookkeeping.
         self._tri_rows = triangles.tolist()

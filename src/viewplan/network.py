@@ -1,8 +1,10 @@
 """Scalar value network: one sigmoid hidden layer, affine output.
 
-Gradients are written out explicitly (no autodiff) in the same array layout as
-the eligibility trace, so trace accumulation and parameter updates are plain
-elementwise numpy.
+All parameters live in one flat float64 vector, in the order the weights file
+stores them: hidden weights (row-major), hidden biases, output weights, output
+bias. Gradients are written out explicitly (no autodiff) in the same layout,
+so the eligibility trace is a plain array of that shape and trace
+accumulation and parameter updates are single elementwise numpy operations.
 """
 from __future__ import annotations
 
@@ -27,78 +29,40 @@ class NetworkConfig:
         if self.init_scale < 0.0:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
 
+    @property
+    def n_params(self) -> int:
+        """Length of the flat parameter vector: H*I + H + H + 1."""
+        return self.hidden * (self.input_dim + 2) + 1
+
 
 class ValueNetwork:
-    """Parameters: hidden weights (H, I), hidden biases (H), output weights (H),
-    output bias (scalar). Mutated only through apply_update."""
+    """Parameters in one flat vector `params`; `hidden_w` (H, I), `hidden_b`
+    (H) and `out_w` (H) are views into it and the output bias is its last
+    entry. Mutated only through apply_update."""
 
-    __slots__ = ("config", "hidden_w", "hidden_b", "out_w", "out_b")
+    __slots__ = ("config", "params", "hidden_w", "hidden_b", "out_w")
 
-    def __init__(self, config: NetworkConfig, hidden_w, hidden_b, out_w, out_b):
+    def __init__(self, config: NetworkConfig, params):
         self.config = config
-        self.hidden_w = np.asarray(hidden_w, dtype=np.float64)
-        self.hidden_b = np.asarray(hidden_b, dtype=np.float64)
-        self.out_w = np.asarray(out_w, dtype=np.float64)
-        self.out_b = float(out_b)
-        h, i = config.hidden, config.input_dim
-        if self.hidden_w.shape != (h, i):
-            raise ValueError(f"hidden weights must be ({h}, {i}), got {self.hidden_w.shape}")
-        if self.hidden_b.shape != (h,):
-            raise ValueError(f"hidden biases must be ({h},), got {self.hidden_b.shape}")
-        if self.out_w.shape != (h,):
-            raise ValueError(f"output weights must be ({h},), got {self.out_w.shape}")
+        self.params = np.ascontiguousarray(params, dtype=np.float64)
+        if self.params.shape != (config.n_params,):
+            raise ValueError(
+                f"parameters must be a flat vector of {config.n_params}, got {self.params.shape}")
+        h, hw = config.hidden, config.hidden * config.input_dim
+        self.hidden_w = self.params[:hw].reshape(h, config.input_dim)
+        self.hidden_b = self.params[hw : hw + h]
+        self.out_w = self.params[hw + h : hw + 2 * h]
 
-
-class TraceVector:
-    """Parameter-shaped accumulator; doubles as the gradient container."""
-
-    __slots__ = ("hidden_w", "hidden_b", "out_w", "out_b")
-
-    def __init__(self, hidden_w, hidden_b, out_w, out_b):
-        self.hidden_w = hidden_w
-        self.hidden_b = hidden_b
-        self.out_w = out_w
-        self.out_b = out_b
-
-    @classmethod
-    def zeros(cls, config: NetworkConfig) -> TraceVector:
-        return cls(
-            np.zeros((config.hidden, config.input_dim)),
-            np.zeros(config.hidden),
-            np.zeros(config.hidden),
-            0.0,
-        )
-
-    def reset(self) -> None:
-        self.hidden_w[:] = 0.0
-        self.hidden_b[:] = 0.0
-        self.out_w[:] = 0.0
-        self.out_b = 0.0
-
-    def scale(self, factor: float) -> None:
-        self.hidden_w *= factor
-        self.hidden_b *= factor
-        self.out_w *= factor
-        self.out_b *= factor
-
-    def accumulate(self, other: TraceVector) -> None:
-        self.hidden_w += other.hidden_w
-        self.hidden_b += other.hidden_b
-        self.out_w += other.out_w
-        self.out_b += other.out_b
+    @property
+    def out_b(self) -> float:
+        return float(self.params[-1])
 
 
 def init_network(config: NetworkConfig) -> ValueNetwork:
     """All parameters drawn uniformly from [-init_scale, init_scale], seeded."""
     rng = np.random.default_rng(config.seed)
     s = config.init_scale
-    return ValueNetwork(
-        config,
-        rng.uniform(-s, s, size=(config.hidden, config.input_dim)),
-        rng.uniform(-s, s, size=config.hidden),
-        rng.uniform(-s, s, size=config.hidden),
-        rng.uniform(-s, s),
-    )
+    return ValueNetwork(config, rng.uniform(-s, s, size=config.n_params))
 
 
 def _check_input(net: ValueNetwork, x: np.ndarray) -> np.ndarray:
@@ -114,34 +78,27 @@ def forward(net: ValueNetwork, x) -> float:
     return float(net.out_b + net.out_w @ sig)
 
 
-def gradient(net: ValueNetwork, x) -> TraceVector:
-    """Derivative of the output with respect to every parameter, at input x.
+def gradient(net: ValueNetwork, x) -> tuple[float, np.ndarray]:
+    """The output at input x, and its derivative with respect to every
+    parameter as a flat vector in the layout of `params`.
 
     Output bias: 1. Output weights: the hidden activations. Hidden bias i:
     out_w[i] * sig_i * (1 - sig_i). Hidden weight (i, j): the same times x[j].
+    The value is bit-equal to forward(net, x).
     """
     x = _check_input(net, x)
     sig = expit(net.hidden_w @ x + net.hidden_b)
     back = net.out_w * sig * (1.0 - sig)
-    return TraceVector(np.outer(back, x), back, sig.copy(), 1.0)
+    grad = np.concatenate([np.outer(back, x).ravel(), back, sig, [1.0]])
+    return float(net.out_b + net.out_w @ sig), grad
 
 
-def apply_update(net: ValueNetwork, trace: TraceVector, delta: float, alpha: float) -> ValueNetwork:
-    """In-place parameter step: p += alpha * delta * trace_p. Returns the net."""
-    step = alpha * delta
-    net.hidden_w += step * trace.hidden_w
-    net.hidden_b += step * trace.hidden_b
-    net.out_w += step * trace.out_w
-    net.out_b += step * trace.out_b
-    if not (
-        np.isfinite(net.out_b)
-        and np.isfinite(net.hidden_w).all()
-        and np.isfinite(net.hidden_b).all()
-        and np.isfinite(net.out_w).all()
-    ):
+def apply_update(net: ValueNetwork, trace: np.ndarray, delta: float, alpha: float) -> ValueNetwork:
+    """In-place parameter step: params += alpha * delta * trace. Returns the net."""
+    net.params += (alpha * delta) * trace
+    if not np.isfinite(net.params).all():
         raise FloatingPointError(
-            f"parameters became non-finite (delta={delta!r}, alpha={alpha!r})"
-        )
+            f"parameters became non-finite (delta={delta!r}, alpha={alpha!r})")
     return net
 
 

@@ -24,8 +24,9 @@ def _as_unit(name: str, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > _UNIT_TOL:
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if not abs(n - 1.0) <= _UNIT_TOL:  # also false for a NaN or overflowing norm
         raise ValueError(f"{name} must be unit length, |{name}| = {n:.6g}")
     out = v / n
     out.setflags(write=False)

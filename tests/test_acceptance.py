@@ -105,32 +105,19 @@ def test_union_boundary_matches_brute_force_on_random_pairs(ico3, capsys):
 
 
 def _fd_gradient(net, x, step):
-    """Central differences over every parameter, perturbing the net in place.
-
-    reshape(-1) views share memory with the parameter arrays, so writes land
-    in the live network; the original value is restored exactly afterwards.
-    """
-    parts = []
-    for arr in (net.hidden_w, net.hidden_b, net.out_w):
-        flat = arr.reshape(-1)
-        g = np.empty(flat.size)
-        for i in range(flat.size):
-            old = flat[i]
-            flat[i] = old + step
-            hi = forward(net, x)
-            flat[i] = old - step
-            lo = forward(net, x)
-            flat[i] = old
-            g[i] = (hi - lo) / (2.0 * step)
-        parts.append(g)
-    old = net.out_b
-    net.out_b = old + step
-    hi = forward(net, x)
-    net.out_b = old - step
-    lo = forward(net, x)
-    net.out_b = old
-    parts.append(np.array([(hi - lo) / (2.0 * step)]))
-    return np.concatenate(parts)
+    """Central differences over every entry of the flat parameter vector,
+    perturbing the net in place; each entry is restored exactly afterwards."""
+    params = net.params
+    g = np.empty(params.size)
+    for i in range(params.size):
+        old = params[i]
+        params[i] = old + step
+        hi = forward(net, x)
+        params[i] = old - step
+        lo = forward(net, x)
+        params[i] = old
+        g[i] = (hi - lo) / (2.0 * step)
+    return g
 
 
 def test_analytic_gradient_matches_central_differences(capsys):
@@ -144,9 +131,7 @@ def test_analytic_gradient_matches_central_differences(capsys):
                 x = rng.uniform(0.0, 1.0, size=32)
             else:
                 x = rng.integers(0, 2, size=32).astype(float)
-            g = gradient(net, x)
-            analytic = np.concatenate(
-                [g.hidden_w.ravel(), g.hidden_b, g.out_w, [g.out_b]])
+            _value, analytic = gradient(net, x)
             fd = _fd_gradient(net, x, step)
             # relative to the largest true component; the output-bias slot is
             # exactly 1, so the denominator never degenerates

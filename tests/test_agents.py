@@ -126,11 +126,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(algorithm="td", epsilon_episodes=-1)
 
-    def test_discounting_is_fixed(self):
-        with pytest.raises(ValueError):
-            TrainConfig(algorithm="td", gamma=0.9)
-        assert TrainConfig(algorithm="td", gamma=1.0).gamma == 1.0
-
 
 class TestTrainingLoops:
     def test_input_width_per_algorithm(self):

@@ -1,5 +1,7 @@
 import json
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +191,18 @@ class TestCameraIO:
         with pytest.raises(FormatError, match="camera 0"):
             load_cameras(p)
 
+    @pytest.mark.parametrize("field", ["direction", "up"])
+    def test_zero_vector_rejected_without_warning(self, tmp_path, field):
+        p = tmp_path / "cams.json"
+        save_cameras(p, self.make_views())
+        doc = json.loads(p.read_text())
+        doc["cameras"][1][field] = [0.0, 0.0, 0.0]
+        p.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FormatError, match=f"camera 1: {field} must be a nonzero"):
+                load_cameras(p)
+
 
 class TestCoverageIO:
     def test_synthetic_round_trip_with_cert(self, tmp_path):
@@ -266,10 +280,9 @@ class TestModelIO:
             p = tmp_path / f"{algo}.wts"
             save_model(p, model)
             back = load_model(p)
-            assert np.array_equal(back.network.hidden_w, model.network.hidden_w)
-            assert np.array_equal(back.network.hidden_b, model.network.hidden_b)
-            assert np.array_equal(back.network.out_w, model.network.out_w)
-            assert back.network.out_b == model.network.out_b
+            assert np.array_equal(back.network.params, model.network.params)
+            # the derived init seed too, not just the run seed of the config
+            assert back.network.config == model.network.config
             assert back.config == model.config
             assert np.array_equal(back.episode_lengths, model.episode_lengths)
             assert back.mesh_digest == model.mesh_digest
@@ -316,6 +329,91 @@ class TestModelIO:
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(FormatError, match="truncated"):
             load_model(p)
+
+    def test_parameter_block_is_the_flat_vector(self, tmp_path):
+        for algo in ("sarsa", "td"):
+            model, _ = tiny_model(algo)
+            data, cfg_at = model_file(tmp_path, model)
+            params = model.network.params
+            assert data[MODEL_PARAMS_AT : cfg_at - 4] == params.astype("<f8").tobytes()
+
+    def test_files_with_unit_gamma_still_load(self, tmp_path):
+        # model files written while TrainConfig had a gamma field store "gamma": 1.0
+        model, _ = tiny_model()
+        data, cfg_at = model_file(tmp_path, model)
+        p = tmp_path / "old.wts"
+        p.write_bytes(edit_config(data, cfg_at, lambda cfg: cfg.update(gamma=1.0)))
+        back = load_model(p)
+        assert back.config == model.config
+        assert np.array_equal(back.network.params, model.network.params)
+
+
+MODEL_PARAMS_AT = 4 + 4 + 1 + 12  # magic, version, algorithm tag, three counts
+
+
+def model_file(tmp_path, model):
+    """Bytes of `model`'s weights file and the offset of its config JSON."""
+    p = tmp_path / "model.wts"
+    save_model(p, model)
+    return p.read_bytes(), MODEL_PARAMS_AT + 8 * model.network.config.n_params + 4
+
+
+def edit_config(data, cfg_at, edit):
+    """Weights file bytes with the embedded config JSON changed by `edit`."""
+    (n,) = struct.unpack_from("<I", data, cfg_at - 4)
+    cfg = json.loads(data[cfg_at : cfg_at + n])
+    edit(cfg)
+    blob = json.dumps(cfg).encode("utf-8")
+    return data[: cfg_at - 4] + struct.pack("<I", len(blob)) + blob + data[cfg_at + n :]
+
+
+def _put(data, at, raw):
+    return data[:at] + raw + data[at + len(raw):]
+
+
+# (file kind, damage(file bytes, config offset), message, offset or "config")
+DAMAGED_FILES = {
+    "model-magic": ("model", lambda d, c: _put(d, 0, b"XXXX"), "bad magic", 0),
+    "model-version": ("model", lambda d, c: _put(d, 4, struct.pack("<I", 2)), "version 2", 4),
+    "model-algorithm-tag": ("model", lambda d, c: _put(d, 8, b"\x09"), "algorithm tag 9", 8),
+    "model-non-finite-param": (
+        "model", lambda d, c: _put(d, MODEL_PARAMS_AT + 24, struct.pack("<d", math.nan)),
+        "non-finite", MODEL_PARAMS_AT + 24),
+    "model-config-json": ("model", lambda d, c: _put(d, c, b"["), "bad embedded config", "config"),
+    "model-config-gamma": (
+        "model", lambda d, c: edit_config(d, c, lambda cfg: cfg.update(gamma=0.9)),
+        "gamma", "config"),
+    "model-header-algorithm": (
+        "model", lambda d, c: _put(d, 8, b"\x01"), "header says watkins-q", "config"),
+    "model-header-shape": (
+        "model", lambda d, c: edit_config(d, c, lambda cfg: cfg.update(hidden=5)),
+        "disagree on network shape", "config"),
+    "coverage-magic": ("coverage", lambda d, c: _put(d, 0, b"NOPE"), "bad magic", 0),
+    "coverage-version": ("coverage", lambda d, c: _put(d, 4, struct.pack("<I", 7)), "version 7", 4),
+    # a flipped bit in the first vertex coordinate breaks the stored mesh digest
+    "coverage-mesh-digest": (
+        "coverage", lambda d, c: _put(d, 48, bytes([d[48] ^ 1])), "digest mismatch", 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_FILES))
+def test_loader_errors_name_the_byte_offset(tmp_path, case):
+    kind, damage, message, at = DAMAGED_FILES[case]
+    if kind == "model":
+        data, cfg_at = model_file(tmp_path, tiny_model()[0])
+        loader = load_model
+    else:
+        inst = generate_instance(SyntheticSpec("random_patches", 4, 4, 3, seed=1))
+        p = tmp_path / "t.cov"
+        save_coverage(p, inst.table)
+        data, cfg_at = p.read_bytes(), None
+        loader = load_coverage
+    p = tmp_path / "damaged"
+    p.write_bytes(damage(data, cfg_at))
+    with pytest.raises(FormatError) as err:
+        loader(p)
+    assert message in str(err.value)
+    assert str(err.value).endswith(f"(at byte {cfg_at if at == 'config' else at})")
 
 
 class TestPlanIO:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ class TestMeshValidation:
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, bad]]
         with pytest.raises(ValueError, match="vertex 2 has a non-finite coordinate"):
             TriangleMesh(verts, [[0, 1, 2]])
+
+    @pytest.mark.parametrize("verts", [
+        [[0, 0, 0], [1, 0, 0], [0, 1, -2.7e154]],  # cross product overflows
+        [[0, 0, 0], [1e200, 0, 0], [2e200, 0, 0]],  # degenerate: area 0, lengths overflow
+        [[1e308, 0, 0], [1.5e308, 0, 0], [1.7e308, 1, 0]],  # centroid and lengths overflow
+    ])
+    def test_overflowing_geometry_rejected_without_warning(self, verts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="triangle 0 overflows float64"):
+                TriangleMesh(verts, [[0, 1, 2]])
 
     def test_edge_table_matches_triangles(self, ico1):
         edges = ico1.edges.tolist()

@@ -3,7 +3,6 @@ import pytest
 
 from viewplan import (
     NetworkConfig,
-    TraceVector,
     ValueNetwork,
     apply_update,
     encode_input,
@@ -11,6 +10,13 @@ from viewplan import (
     gradient,
     init_network,
 )
+
+
+def make_net(hidden_w, hidden_b, out_w, out_b):
+    """Network from its four parameter blocks, packed in the flat layout."""
+    hidden_w = np.asarray(hidden_w, dtype=np.float64)
+    cfg = NetworkConfig(input_dim=hidden_w.shape[1], hidden=hidden_w.shape[0])
+    return ValueNetwork(cfg, np.concatenate([hidden_w.ravel(), hidden_b, out_w, [out_b]]))
 
 
 def forward_oracle(net, x):
@@ -37,12 +43,27 @@ class TestConfig:
 
     def test_shape_validation(self):
         cfg = NetworkConfig(input_dim=3, hidden=2)
-        with pytest.raises(ValueError):
-            ValueNetwork(cfg, np.zeros((2, 4)), np.zeros(2), np.zeros(2), 0.0)
-        with pytest.raises(ValueError):
-            ValueNetwork(cfg, np.zeros((2, 3)), np.zeros(3), np.zeros(2), 0.0)
-        with pytest.raises(ValueError):
-            ValueNetwork(cfg, np.zeros((2, 3)), np.zeros(2), np.zeros(3), 0.0)
+        assert cfg.n_params == 2 * 3 + 2 + 2 + 1
+        ValueNetwork(cfg, np.zeros(11))
+        for bad in (np.zeros(10), np.zeros(12), np.zeros((1, 11)), np.zeros(0)):
+            with pytest.raises(ValueError, match="flat vector of 11"):
+                ValueNetwork(cfg, bad)
+
+
+class TestLayout:
+    def test_blocks_are_views_in_file_order(self):
+        # hidden weights row-major, hidden biases, output weights, output bias
+        cfg = NetworkConfig(input_dim=3, hidden=2)
+        net = ValueNetwork(cfg, np.arange(11.0))
+        assert net.hidden_w.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert net.hidden_b.tolist() == [6.0, 7.0]
+        assert net.out_w.tolist() == [8.0, 9.0]
+        assert net.out_b == 10.0 and type(net.out_b) is float
+        for block in (net.hidden_w, net.hidden_b, net.out_w):
+            assert np.shares_memory(block, net.params)
+        net.params[4] = -1.0
+        net.params[-1] = 0.5
+        assert net.hidden_w[1, 1] == -1.0 and net.out_b == 0.5
 
 
 class TestInit:
@@ -50,18 +71,13 @@ class TestInit:
         cfg = NetworkConfig(input_dim=5, hidden=4, seed=123)
         a = init_network(cfg)
         b = init_network(cfg)
-        assert np.array_equal(a.hidden_w, b.hidden_w)
-        assert np.array_equal(a.hidden_b, b.hidden_b)
-        assert np.array_equal(a.out_w, b.out_w)
-        assert a.out_b == b.out_b
+        assert np.array_equal(a.params, b.params)
         c = init_network(NetworkConfig(input_dim=5, hidden=4, seed=124))
-        assert not np.array_equal(a.hidden_w, c.hidden_w)
+        assert not np.array_equal(a.params, c.params)
 
     def test_init_scale_bounds(self):
         net = init_network(NetworkConfig(input_dim=8, hidden=16, init_scale=0.1, seed=1))
-        for arr in (net.hidden_w, net.hidden_b, net.out_w):
-            assert np.abs(arr).max() <= 0.1
-        assert abs(net.out_b) <= 0.1
+        assert np.abs(net.params).max() <= 0.1
 
     def test_zero_scale_gives_constant_net(self):
         net = init_network(NetworkConfig(input_dim=4, hidden=3, init_scale=0.0))
@@ -72,9 +88,7 @@ class TestInit:
 
 class TestForward:
     def test_hand_computed_value(self):
-        cfg = NetworkConfig(input_dim=2, hidden=2)
-        net = ValueNetwork(
-            cfg,
+        net = make_net(
             np.array([[1.0, -1.0], [0.5, 0.5]]),
             np.array([0.0, -0.5]),
             np.array([2.0, -1.0]),
@@ -94,9 +108,7 @@ class TestForward:
             assert forward(net, x) == pytest.approx(forward_oracle(net, x), rel=1e-12)
 
     def test_extreme_preactivations_saturate(self):
-        cfg = NetworkConfig(input_dim=1, hidden=2)
-        net = ValueNetwork(cfg, np.array([[800.0], [-800.0]]), np.zeros(2),
-                           np.array([1.0, 1.0]), 0.0)
+        net = make_net(np.array([[800.0], [-800.0]]), np.zeros(2), np.array([1.0, 1.0]), 0.0)
         # exp would overflow naively; sigmoid must saturate cleanly to 1 and 0
         v = forward(net, np.array([1.0]))
         assert v == pytest.approx(1.0)
@@ -116,74 +128,73 @@ class TestGradient:
         eps = 1e-6
         for _ in range(5):
             x = rng.normal(size=5)
-            g = gradient(net, x)
-            assert g.out_b == pytest.approx(1.0)
-
-            def fd(get, set_, current):
-                set_(current + eps)
+            _value, g = gradient(net, x)
+            assert g.shape == (cfg.n_params,)
+            assert g[-1] == 1.0
+            for k in range(cfg.n_params):
+                old = net.params[k]
+                net.params[k] = old + eps
                 up = forward(net, x)
-                set_(current - eps)
+                net.params[k] = old - eps
                 down = forward(net, x)
-                set_(current)
-                return (up - down) / (2.0 * eps)
+                net.params[k] = old
+                want = (up - down) / (2.0 * eps)
+                assert g[k] == pytest.approx(want, rel=1e-5, abs=1e-9)
 
-            for i in range(4):
-                for j in range(5):
-                    want = fd(None, lambda v, i=i, j=j: net.hidden_w.__setitem__((i, j), v),
-                              net.hidden_w[i, j])
-                    assert g.hidden_w[i, j] == pytest.approx(want, rel=1e-5, abs=1e-9)
-                want = fd(None, lambda v, i=i: net.hidden_b.__setitem__(i, v), net.hidden_b[i])
-                assert g.hidden_b[i] == pytest.approx(want, rel=1e-5, abs=1e-9)
-                want = fd(None, lambda v, i=i: net.out_w.__setitem__(i, v), net.out_w[i])
-                assert g.out_w[i] == pytest.approx(want, rel=1e-5, abs=1e-9)
+    def test_value_is_bit_equal_to_forward(self):
+        rng = np.random.default_rng(21)
+        for seed in range(10):
+            net = init_network(NetworkConfig(input_dim=7, hidden=5, seed=seed))
+            for x in (rng.normal(size=7), rng.integers(0, 2, size=7).astype(float)):
+                value, _g = gradient(net, x)
+                assert type(value) is float
+                assert value == forward(net, x)
 
     def test_gradient_is_detached(self):
-        # mutating the returned trace must not touch live activations
+        # mutating the returned gradient must not touch the parameters
         net = init_network(NetworkConfig(input_dim=2, hidden=2, seed=4))
         x = np.array([1.0, -1.0])
-        g = gradient(net, x)
-        before = forward(net, x)
-        g.out_w[:] = 99.0
-        g.hidden_w[:] = 99.0
-        assert forward(net, x) == before
+        before = net.params.copy()
+        _value, g = gradient(net, x)
+        assert not np.shares_memory(g, net.params)
+        g[:] = 99.0
+        assert np.array_equal(net.params, before)
 
 
 class TestTrace:
     def test_zeros_scale_accumulate(self):
-        cfg = NetworkConfig(input_dim=2, hidden=2)
-        t = TraceVector.zeros(cfg)
-        assert t.out_b == 0.0 and not t.hidden_w.any()
-        g = TraceVector(np.ones((2, 2)), np.ones(2), np.ones(2), 1.0)
-        t.accumulate(g)
-        t.scale(0.5)
-        assert np.array_equal(t.hidden_w, np.full((2, 2), 0.5))
-        assert t.out_b == 0.5
-        t.accumulate(g)
-        assert t.out_b == 1.5
-        t.reset()
-        assert t.out_b == 0.0 and not t.out_w.any()
+        # the trace operations of agents.train, on a parameter-shaped array
+        net = ValueNetwork(NetworkConfig(input_dim=2, hidden=2), np.zeros(9))
+        t = np.zeros_like(net.params)
+        g = np.ones(9)
+        t += g
+        t *= 0.5
+        assert np.array_equal(t, np.full(9, 0.5))
+        t += g
+        assert t[-1] == 1.5
+        t.fill(0.0)
+        assert not t.any()
 
     def test_decayed_trace_matches_discounted_gradient_sum(self):
-        # after two accumulate/decay rounds the trace is mu*g1 + g2
+        # after two accumulate/decay rounds the trace is mu*g1 + g2, and the
+        # output-bias slot counts mu + 1
         cfg = NetworkConfig(input_dim=3, hidden=2, seed=8)
         net = init_network(cfg)
         x1, x2 = np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0])
         mu = 0.7
-        t = TraceVector.zeros(cfg)
-        t.accumulate(gradient(net, x1))
-        t.scale(mu)
-        t.accumulate(gradient(net, x2))
-        g1, g2 = gradient(net, x1), gradient(net, x2)
-        assert np.allclose(t.hidden_w, mu * g1.hidden_w + g2.hidden_w)
-        assert np.allclose(t.out_w, mu * g1.out_w + g2.out_w)
-        assert t.out_b == pytest.approx(mu + 1.0)
+        trace = np.zeros_like(net.params)
+        trace += gradient(net, x1)[1]
+        trace *= mu
+        trace += gradient(net, x2)[1]
+        g1, g2 = gradient(net, x1)[1], gradient(net, x2)[1]
+        assert np.array_equal(trace, mu * g1 + g2)
+        assert trace[-1] == mu + 1.0
 
 
 class TestApplyUpdate:
     def test_parameter_arithmetic(self):
-        cfg = NetworkConfig(input_dim=2, hidden=2)
-        net = ValueNetwork(cfg, np.zeros((2, 2)), np.zeros(2), np.zeros(2), 1.0)
-        trace = TraceVector(np.ones((2, 2)), np.full(2, 2.0), np.full(2, 3.0), 4.0)
+        net = make_net(np.zeros((2, 2)), np.zeros(2), np.zeros(2), 1.0)
+        trace = np.concatenate([np.ones(4), np.full(2, 2.0), np.full(2, 3.0), [4.0]])
         apply_update(net, trace, delta=0.5, alpha=0.1)
         assert np.allclose(net.hidden_w, 0.05)
         assert np.allclose(net.hidden_b, 0.10)
@@ -195,13 +206,13 @@ class TestApplyUpdate:
         x = np.array([1.0, 0.0, 1.0])
         target = -3.0
         for _ in range(200):
-            delta = target - forward(net, x)
-            apply_update(net, gradient(net, x), delta, 0.1)
+            value, g = gradient(net, x)
+            apply_update(net, g, target - value, 0.1)
         assert forward(net, x) == pytest.approx(target, abs=0.05)
 
     def test_non_finite_update_raises(self):
         net = init_network(NetworkConfig(input_dim=2, hidden=2, seed=5))
-        trace = gradient(net, np.array([1.0, 1.0]))
+        _value, trace = gradient(net, np.array([1.0, 1.0]))
         with pytest.raises(FloatingPointError):
             apply_update(net, trace, delta=np.inf, alpha=0.01)
 

@@ -56,9 +56,10 @@ def covered_oracle(mesh, view):
 
 class TestViewPoint:
     def test_rejects_non_unit_direction(self):
-        with pytest.raises(ValueError):
-            ViewPoint(np.zeros(3), np.array([0.0, 0.0, 2.0]),
-                      np.array([0.0, 1.0, 0.0]), 1.0)
+        # a NaN or overflowing norm too, with no RuntimeWarning (an error in this suite)
+        for direction in ([0.0, 0.0, 2.0], [math.nan, 0.0, 0.0], [1e200, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="unit length"):
+                ViewPoint(np.zeros(3), np.array(direction), np.array([0.0, 1.0, 0.0]), 1.0)
 
     def test_rejects_parallel_up(self):
         with pytest.raises(ValueError):
