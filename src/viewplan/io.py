@@ -234,27 +234,46 @@ def load_coverage(path) -> tuple[CoverageTable, tuple | None]:
         raise r.fail(4, f"unsupported coverage version {version}")
     digest_at = r.off
     stored_digest = r.take(32).hex()
+    mesh_at = r.off
     n_verts = r.u32()
     n_tris = r.u32()
     vertices = r.array("<f8", 3 * n_verts).reshape(n_verts, 3)
     triangles = r.array("<u4", 3 * n_tris).reshape(n_tris, 3).astype(np.int64)
     scale = r.f64()
-    mesh = TriangleMesh(vertices, triangles, normalization_scale=scale)
+    try:
+        mesh = TriangleMesh(vertices, triangles, normalization_scale=scale)
+    except ValueError as err:
+        raise r.fail(mesh_at, f"bad stored mesh: {err}") from err
     if mesh.digest != stored_digest:
         raise r.fail(digest_at, "mesh digest mismatch; cache is stale or corrupt")
+    n_views_at = r.off
     n_views = r.u32()
+    if n_views == 0:
+        raise r.fail(n_views_at, "no views")
     coverage = []
-    for _ in range(n_views):
+    for i in range(n_views):
         count = r.u32()
-        idx = r.array("<u4", count)
-        coverage.append(Submesh.from_triangles(mesh, idx.astype(np.int64).tolist()))
+        idx_at = r.off
+        idx = r.array("<u4", count).astype(np.int64)
+        # save_coverage writes each list strictly ascending
+        bad = idx >= n_tris
+        bad[1:] |= idx[1:] <= idx[:-1]
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise r.fail(idx_at + 4 * j, f"view {i}: triangle index {idx[j]} is out of range "
+                                         f"(mesh has {n_tris}) or not in ascending order")
+        coverage.append(Submesh.from_triangles(mesh, idx.tolist()))
     views = None
     if r.u8():
         views = []
-        for _ in range(n_views):
+        for i in range(n_views):
+            cam_at = r.off
             vals = r.array("<f8", 9)
             fov_y, aspect, near, far = r.f64(), r.f64(), r.f64(), r.f64()
-            views.append(ViewPoint(vals[0:3], vals[3:6], vals[6:9], fov_y, aspect, near, far))
+            try:
+                views.append(ViewPoint(vals[0:3], vals[3:6], vals[6:9], fov_y, aspect, near, far))
+            except ValueError as err:
+                raise r.fail(cam_at, f"camera {i}: {err}") from err
     cert = None
     if r.u8():
         vals = [r.i32(), r.i32(), r.i32()]

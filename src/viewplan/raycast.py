@@ -1,7 +1,11 @@
-"""Ray casting against triangle meshes through a bounding-volume hierarchy."""
-from __future__ import annotations
+"""Ray casting against triangle meshes through a bounding-volume hierarchy.
 
-import math
+`Bvh.occluded` traces all occlusion rays of one view as (ray, node) index
+arrays, breadth-first like wavefront ray tracing (Laine, Karras & Aila 2013),
+with batched Moller-Trumbore leaf tests; the scalar `ray_triangle` is the
+reference that tests compare it against.
+"""
+from __future__ import annotations
 
 import numpy as np
 
@@ -9,6 +13,15 @@ from .mesh import TriangleMesh
 
 _LEAF_SIZE = 8
 _PARALLEL_EPS = 1e-12
+# Rays traced together. The (ray, node) and (ray, triangle) arrays grow with
+# it, so it bounds the memory a query takes.
+_CHUNK_RAYS = 128
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each bit-identical to the scalar `a[i] @ b[i]`
+    (an einsum or `(a * b).sum(1)` can round differently)."""
+    return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
 def ray_triangle(origin, direction, v0, v1, v2) -> float | None:
@@ -38,37 +51,29 @@ class Bvh:
     """Median-split AABB tree over mesh triangles.
 
     Nodes live in flat arrays; `order` is the leaf-sorted triangle permutation.
-    Traversal reports the same nearest hit a linear scan would (ties on t broken
-    toward the lower triangle index), just faster.
     """
 
     def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
         tris = mesh.triangles
         self._v0 = mesh.vertices[tris[:, 0]]
-        self._v1 = mesh.vertices[tris[:, 1]]
-        self._v2 = mesh.vertices[tris[:, 2]]
-        lo = np.minimum(np.minimum(self._v0, self._v1), self._v2)
-        hi = np.maximum(np.maximum(self._v0, self._v1), self._v2)
+        v1 = mesh.vertices[tris[:, 1]]
+        v2 = mesh.vertices[tris[:, 2]]
+        self._e1 = v1 - self._v0
+        self._e2 = v2 - self._v0
+        lo = np.minimum(np.minimum(self._v0, v1), v2)
+        hi = np.maximum(np.maximum(self._v0, v1), v2)
         centers = (lo + hi) * 0.5
 
         self.order = np.arange(mesh.n_triangles)
-        node_lo: list[np.ndarray] = []
-        node_hi: list[np.ndarray] = []
-        node_left: list[int] = []   # child index, or -1 for leaves
-        node_right: list[int] = []
-        node_start: list[int] = []  # leaf slice into order
-        node_count: list[int] = []
+        boxes: list[np.ndarray] = []  # per node: lo and hi stacked
+        links: list[list[int]] = []   # per node: left, right (-1 for leaves), start, count
 
         def build(start: int, count: int) -> int:
             idx = self.order[start : start + count]
-            me = len(node_lo)
-            node_lo.append(lo[idx].min(axis=0))
-            node_hi.append(hi[idx].max(axis=0))
-            node_left.append(-1)
-            node_right.append(-1)
-            node_start.append(start)
-            node_count.append(count)
+            me = len(links)
+            boxes.append(np.stack([lo[idx].min(axis=0), hi[idx].max(axis=0)]))
+            links.append([-1, -1, start, count])
             if count > _LEAF_SIZE:
                 spread = centers[idx].max(axis=0) - centers[idx].min(axis=0)
                 axis = int(np.argmax(spread))
@@ -76,95 +81,85 @@ class Bvh:
                 local = np.argsort(centers[idx, axis], kind="stable")
                 self.order[start : start + count] = idx[local]
                 half = count // 2
-                node_left[me] = build(start, half)
-                node_right[me] = build(start + half, count - half)
+                links[me][0] = build(start, half)
+                links[me][1] = build(start + half, count - half)
             return me
 
         build(0, mesh.n_triangles)
-        self.node_lo = np.array(node_lo)
-        self.node_hi = np.array(node_hi)
-        self.node_left = node_left
-        self.node_right = node_right
-        self.node_start = node_start
-        self.node_count = node_count
+        self.node_lo, self.node_hi = np.stack(boxes, axis=1)
+        # leaf slice of node i: order[node_start[i] : node_start[i] + node_count[i]]
+        self.node_left, self.node_right, self.node_start, self.node_count = \
+            np.array(links, dtype=np.int64).T
 
-    def _slab(self, node: int, origin, inv_dir, t_max: float) -> float | None:
-        """Entry distance of the ray into the node box, or None if it misses."""
-        lo = self.node_lo[node]
-        hi = self.node_hi[node]
-        enter = 0.0
-        exit_ = t_max
-        for k in range(3):
-            iv = inv_dir[k]
-            if math.isinf(iv):
-                # Ray parallel to this slab: 0 * inf would poison the interval
-                # math, so test containment directly.
-                if origin[k] < lo[k] or origin[k] > hi[k]:
-                    return None
-                continue
-            t0 = (lo[k] - origin[k]) * iv
-            t1 = (hi[k] - origin[k]) * iv
-            if t0 > t1:
-                t0, t1 = t1, t0
-            if t0 > enter:
-                enter = t0
-            if t1 < exit_:
-                exit_ = t1
-            if enter > exit_:
-                return None
-        return enter
+    def occluded(self, origins, dirs, t_min, t_max) -> np.ndarray:
+        """Per ray, True iff some triangle intersects it strictly inside (t_min, t_max).
 
-    def nearest_hit(self, origin, direction, t_max: float = np.inf) -> tuple[float, int] | None:
-        """Closest intersection (t, triangle index) with t <= t_max, or None."""
-        origin = np.asarray(origin, dtype=np.float64)
-        direction = np.asarray(direction, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            inv_dir = 1.0 / direction
-        best_t = t_max
-        best_idx = -1
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            enter = self._slab(node, origin, inv_dir, best_t)
-            if enter is None:
-                continue
-            if self.node_left[node] < 0:
-                s, c = self.node_start[node], self.node_count[node]
-                for tri in self.order[s : s + c]:
-                    t = ray_triangle(origin, direction, self._v0[tri], self._v1[tri], self._v2[tri])
-                    if t is None or t > best_t:
-                        continue
-                    if t < best_t or best_idx < 0 or tri < best_idx:
-                        best_t = t
-                        best_idx = int(tri)
-            else:
-                stack.append(self.node_left[node])
-                stack.append(self.node_right[node])
-        if best_idx < 0:
-            return None
-        return best_t, best_idx
+        `origins` and `dirs` are (n, 3) arrays; `t_min` and `t_max` are scalars
+        or length-n arrays. A ray meets a triangle exactly when `ray_triangle`
+        returns a distance for that pair.
+        """
+        origins = np.asarray(origins, dtype=np.float64)
+        dirs = np.asarray(dirs, dtype=np.float64)
+        n = len(origins)
+        t_min = np.broadcast_to(np.asarray(t_min, dtype=np.float64), (n,))
+        t_max = np.broadcast_to(np.asarray(t_max, dtype=np.float64), (n,))
+        hit = np.zeros(n, dtype=bool)
+        for s in range(0, n, _CHUNK_RAYS):
+            part = slice(s, s + _CHUNK_RAYS)
+            hit[part] = self._occluded_chunk(origins[part], dirs[part], t_min[part], t_max[part])
+        return hit
 
-    def any_hit(self, origin, direction, t_min: float, t_max: float) -> bool:
-        """True iff some triangle intersects the ray strictly inside (t_min, t_max)."""
-        origin = np.asarray(origin, dtype=np.float64)
-        direction = np.asarray(direction, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            inv_dir = 1.0 / direction
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            if self._slab(node, origin, inv_dir, t_max) is None:
-                continue
-            if self.node_left[node] < 0:
-                s, c = self.node_start[node], self.node_count[node]
-                for tri in self.order[s : s + c]:
-                    t = ray_triangle(origin, direction, self._v0[tri], self._v1[tri], self._v2[tri])
-                    if t is not None and t_min < t < t_max:
-                        return True
-            else:
-                stack.append(self.node_left[node])
-                stack.append(self.node_right[node])
-        return False
+    def _occluded_chunk(self, origins, dirs, t_min, t_max) -> np.ndarray:
+        with np.errstate(divide="ignore", over="ignore"):
+            inv_dir = 1.0 / dirs
+        # A ray parallel to a slab would give 0 * inf there; such an axis is
+        # tested by containment of the origin instead, as are axes whose
+        # direction component is so small that its inverse overflows.
+        parallel = np.isinf(inv_dir)
+        hit = np.zeros(len(origins), dtype=bool)
+        ray = np.arange(len(origins))
+        node = np.zeros(len(origins), dtype=np.int64)
+        while ray.size:
+            live = ~hit[ray]
+            ray, node = ray[live], node[live]
+            o, lo, hi, par = origins[ray], self.node_lo[node], self.node_hi[node], parallel[ray]
+            with np.errstate(invalid="ignore", over="ignore"):
+                t0 = (lo - o) * inv_dir[ray]
+                t1 = (hi - o) * inv_dir[ray]
+            enter = np.maximum(np.where(par, -np.inf, np.minimum(t0, t1)).max(axis=1), 0.0)
+            exit_ = np.minimum(np.where(par, np.inf, np.maximum(t0, t1)).min(axis=1), t_max[ray])
+            outside = (par & ((o < lo) | (o > hi))).any(axis=1)
+            keep = ~outside & (enter <= exit_)
+            ray, node = ray[keep], node[keep]
+
+            leaf = self.node_left[node] < 0
+            self._leaf_hits(ray[leaf], node[leaf], origins, dirs, t_min, t_max, hit)
+            inner = node[~leaf]
+            ray = np.concatenate([ray[~leaf], ray[~leaf]])
+            node = np.concatenate([self.node_left[inner], self.node_right[inner]])
+        return hit
+
+    def _leaf_hits(self, ray, node, origins, dirs, t_min, t_max, hit) -> None:
+        """Batched `ray_triangle` over every triangle of each (ray, leaf) pair;
+        marks the rays that meet one inside their interval."""
+        counts = self.node_count[node]
+        ray = np.repeat(ray, counts)
+        first = np.repeat(self.node_start[node] - (np.cumsum(counts) - counts), counts)
+        tri = self.order[first + np.arange(len(ray))]
+        d, e1, e2 = dirs[ray], self._e1[tri], self._e2[tri]
+        pvec = np.cross(d, e2)
+        det = _dot(e1, pvec)
+        ok = np.abs(det) >= _PARALLEL_EPS
+        ray, tri, d, e1, e2, pvec, det = ray[ok], tri[ok], d[ok], e1[ok], e2[ok], pvec[ok], det[ok]
+        inv = 1.0 / det
+        tvec = origins[ray] - self._v0[tri]
+        u = _dot(tvec, pvec) * inv
+        qvec = np.cross(tvec, e1)
+        v = _dot(d, qvec) * inv
+        t = _dot(e2, qvec) * inv
+        ok = ((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0) & (t >= 0.0)
+              & (t_min[ray] < t) & (t < t_max[ray]))
+        hit[ray[ok]] = True
 
 
 def build_bvh(mesh: TriangleMesh) -> Bvh:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viewplan import Submesh, TriangleMesh, icosphere, iter_bits, triangle_bits
+from viewplan import Submesh, TriangleMesh, icosphere, iter_bits, planar_grid, triangle_bits
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +18,15 @@ def ico1() -> TriangleMesh:
 @pytest.fixture(scope="session")
 def ico3() -> TriangleMesh:
     return icosphere(3)  # 1280 triangles
+
+
+@pytest.fixture(scope="session")
+def occluder() -> TriangleMesh:
+    """Two 3x3 sheets stacked in z, one unit apart; the upper sheet holds the
+    second half of the triangles."""
+    base = planar_grid(3, 3)
+    verts = np.vstack([base.vertices, base.vertices + np.array([0.0, 0.0, 1.0])])
+    return TriangleMesh(verts, np.vstack([base.triangles, base.triangles + len(base.vertices)]))
 
 
 def tri_neighbors(mesh: TriangleMesh) -> list[list[int]]:

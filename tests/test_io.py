@@ -203,6 +203,18 @@ class TestCameraIO:
             with pytest.raises(FormatError, match=f"camera 1: {field} must be a nonzero"):
                 load_cameras(p)
 
+    @pytest.mark.parametrize("field, value", [
+        ("position", [math.inf, 0.0, 2.0]), ("aspect", math.nan), ("aspect", math.inf),
+        ("far", math.inf)])
+    def test_non_finite_field_rejected(self, tmp_path, field, value):
+        p = tmp_path / "cams.json"
+        save_cameras(p, self.make_views())
+        doc = json.loads(p.read_text())
+        doc["cameras"][1][field] = value
+        p.write_text(json.dumps(doc))  # NaN and Infinity, which json.load reads back
+        with pytest.raises(FormatError, match=f"camera 1: .*{field}"):
+            load_cameras(p)
+
 
 class TestCoverageIO:
     def test_synthetic_round_trip_with_cert(self, tmp_path):
@@ -371,7 +383,27 @@ def _put(data, at, raw):
     return data[:at] + raw + data[at + len(raw):]
 
 
-# (file kind, damage(file bytes, config offset), message, offset or "config")
+def coverage_at(data, field):
+    """Offset in a coverage cache of the view count ("views"), the first and
+    second entries of view 0's index list ("index0", "index1"), or camera 0
+    and camera 1's records ("camera0", "camera1")."""
+    n_verts, n_tris = struct.unpack_from("<II", data, 40)
+    at = {"views": 48 + 24 * n_verts + 12 * n_tris + 8}
+    at["index0"], at["index1"] = at["views"] + 8, at["views"] + 12
+    (n_views,) = struct.unpack_from("<I", data, at["views"])
+    off = at["views"] + 4
+    for _ in range(n_views):
+        off += 4 + 4 * struct.unpack_from("<I", data, off)[0]
+    at["camera0"], at["camera1"] = off + 1, off + 1 + 13 * 8  # after the has-cameras flag
+    return at[field]
+
+
+def _put_at(field, delta, raw):
+    return lambda d, c: _put(d, coverage_at(d, field) + delta, raw)
+
+
+# (file kind, damage(file bytes, config offset), message, offset, "config", or
+# a field name for `coverage_at`)
 DAMAGED_FILES = {
     "model-magic": ("model", lambda d, c: _put(d, 0, b"XXXX"), "bad magic", 0),
     "model-version": ("model", lambda d, c: _put(d, 4, struct.pack("<I", 2)), "version 2", 4),
@@ -393,6 +425,21 @@ DAMAGED_FILES = {
     # a flipped bit in the first vertex coordinate breaks the stored mesh digest
     "coverage-mesh-digest": (
         "coverage", lambda d, c: _put(d, 48, bytes([d[48] ^ 1])), "digest mismatch", 8),
+    "coverage-mesh": (
+        "coverage", lambda d, c: _put(d, 48, struct.pack("<d", math.nan)), "bad stored mesh", 40),
+    "coverage-no-views": ("coverage", _put_at("views", 0, bytes(4)), "no views", "views"),
+    # a huge index used to become a 4-Gbit int before it was rejected
+    "coverage-index-range": (
+        "coverage", _put_at("index0", 0, struct.pack("<I", 0xFFFFFFF0)), "out of range", "index0"),
+    # index 0 in the second entry repeats or undercuts the first
+    "coverage-index-order": (
+        "coverage", _put_at("index1", 0, bytes(4)), "not in ascending order", "index1"),
+    "coverage-camera-direction": (
+        "coverage", _put_at("camera0", 24, struct.pack("<d", 2.0)),
+        "camera 0: direction must be unit length", "camera0"),
+    "coverage-camera-aspect": (
+        "coverage", _put_at("camera1", 80, struct.pack("<d", math.nan)),
+        "camera 1: aspect", "camera1"),
 }
 
 
@@ -404,16 +451,22 @@ def test_loader_errors_name_the_byte_offset(tmp_path, case):
         loader = load_model
     else:
         inst = generate_instance(SyntheticSpec("random_patches", 4, 4, 3, seed=1))
+        views = [ViewPoint.aimed([0.5 * k, 1.0, 2.0]) for k in range(inst.table.n_views)]
         p = tmp_path / "t.cov"
-        save_coverage(p, inst.table)
+        save_coverage(p, CoverageTable.build(inst.table.mesh, views, inst.table.coverage))
         data, cfg_at = p.read_bytes(), None
         loader = load_coverage
+        assert inst.table.coverage[0].count >= 2
+    if at == "config":
+        at = cfg_at
+    elif isinstance(at, str):
+        at = coverage_at(data, at)
     p = tmp_path / "damaged"
     p.write_bytes(damage(data, cfg_at))
     with pytest.raises(FormatError) as err:
         loader(p)
     assert message in str(err.value)
-    assert str(err.value).endswith(f"(at byte {cfg_at if at == 'config' else at})")
+    assert str(err.value).endswith(f"(at byte {at})")
 
 
 class TestPlanIO:

@@ -61,6 +61,15 @@ class TestViewPoint:
             with pytest.raises(ValueError, match="unit length"):
                 ViewPoint(np.zeros(3), np.array(direction), np.array([0.0, 1.0, 0.0]), 1.0)
 
+    def test_rejects_non_finite_fields(self):
+        d = np.array([0.0, 0.0, -1.0])
+        u = np.array([0.0, 1.0, 0.0])
+        for bad in ({"position": [math.inf, 0.0, 2.0]}, {"position": [0.0, math.nan, 2.0]},
+                    {"aspect": math.nan}, {"aspect": math.inf}, {"far": math.inf}):
+            with pytest.raises(ValueError):
+                ViewPoint(**{"position": np.zeros(3), "direction": d, "up": u, "fov_y": 1.0,
+                             **bad})
+
     def test_rejects_parallel_up(self):
         with pytest.raises(ValueError):
             ViewPoint(np.zeros(3), np.array([0.0, 0.0, 1.0]),
@@ -136,16 +145,11 @@ class TestViewCoverage:
         view = ViewPoint.aimed([2.0, 2.0, 0.5], target=(2.0, 2.0, 0.0), near=1.0)
         assert view_coverage(grid, build_bvh(grid), view).bits == 0
 
-    def test_occluder_blocks_lower_sheet(self):
+    def test_occluder_blocks_lower_sheet(self, occluder):
         # two identical sheets stacked in z; from above only the top is visible
-        base = planar_grid(3, 3)
-        n = len(base.vertices)
-        verts = np.vstack([base.vertices, base.vertices + np.array([0.0, 0.0, 1.0])])
-        tris = np.vstack([base.triangles, base.triangles + n])
-        mesh = TriangleMesh(verts, tris)
         view = ViewPoint.aimed([1.5, 1.5, 7.0], target=(1.5, 1.5, 1.0))
-        cov = view_coverage(mesh, build_bvh(mesh), view)
-        top = set(range(base.n_triangles, 2 * base.n_triangles))
+        cov = view_coverage(occluder, build_bvh(occluder), view)
+        top = set(range(occluder.n_triangles // 2, occluder.n_triangles))
         assert set(cov.triangle_indices()) == top
 
     def test_sphere_hemisphere_only(self, ico3):
