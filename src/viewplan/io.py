@@ -260,8 +260,8 @@ def load_coverage(path) -> tuple[CoverageTable, tuple | None]:
         bad[1:] |= idx[1:] <= idx[:-1]
         if bad.any():
             j = int(np.argmax(bad))
-            raise r.fail(idx_at + 4 * j, f"view {i}: triangle index {idx[j]} is out of range "
-                                         f"(mesh has {n_tris}) or not in ascending order")
+            why = f"out of range (mesh has {n_tris})" if idx[j] >= n_tris else "not ascending"
+            raise r.fail(idx_at + 4 * j, f"view {i}: triangle index {idx[j]} is {why}")
         coverage.append(Submesh.from_triangles(mesh, idx.tolist()))
     views = None
     if r.u8():

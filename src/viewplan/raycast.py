@@ -133,15 +133,15 @@ class Bvh:
             ray, node = ray[keep], node[keep]
 
             leaf = self.node_left[node] < 0
-            self._leaf_hits(ray[leaf], node[leaf], origins, dirs, t_min, t_max, hit)
+            hit[self._leaf_hits(ray[leaf], node[leaf], origins, dirs, t_min, t_max)] = True
             inner = node[~leaf]
             ray = np.concatenate([ray[~leaf], ray[~leaf]])
             node = np.concatenate([self.node_left[inner], self.node_right[inner]])
         return hit
 
-    def _leaf_hits(self, ray, node, origins, dirs, t_min, t_max, hit) -> None:
+    def _leaf_hits(self, ray, node, origins, dirs, t_min, t_max) -> np.ndarray:
         """Batched `ray_triangle` over every triangle of each (ray, leaf) pair;
-        marks the rays that meet one inside their interval."""
+        the rays that meet one inside their interval, once per such triangle."""
         counts = self.node_count[node]
         ray = np.repeat(ray, counts)
         first = np.repeat(self.node_start[node] - (np.cumsum(counts) - counts), counts)
@@ -159,7 +159,7 @@ class Bvh:
         t = _dot(e2, qvec) * inv
         ok = ((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0) & (t >= 0.0)
               & (t_min[ray] < t) & (t < t_max[ray]))
-        hit[ray[ok]] = True
+        return ray[ok]
 
 
 def build_bvh(mesh: TriangleMesh) -> Bvh:

@@ -433,7 +433,7 @@ DAMAGED_FILES = {
         "coverage", _put_at("index0", 0, struct.pack("<I", 0xFFFFFFF0)), "out of range", "index0"),
     # index 0 in the second entry repeats or undercuts the first
     "coverage-index-order": (
-        "coverage", _put_at("index1", 0, bytes(4)), "not in ascending order", "index1"),
+        "coverage", _put_at("index1", 0, bytes(4)), "is not ascending", "index1"),
     "coverage-camera-direction": (
         "coverage", _put_at("camera0", 24, struct.pack("<d", 2.0)),
         "camera 0: direction must be unit length", "camera0"),
