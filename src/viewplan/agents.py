@@ -20,7 +20,8 @@ The agents differ in two places only:
   configured window, and resets the trace after an exploratory pick instead
   of decaying it.
 
-plan_with_model walks the same greedy steps without learning.
+plan_with_model walks the same greedy steps without learning. Both memoize
+the selector's views and successor states for the duration of the call.
 """
 from __future__ import annotations
 
@@ -121,9 +122,44 @@ def network_config(config: TrainConfig, n_views: int) -> NetworkConfig:
                          config.hidden, config.init_scale, init_seed)
 
 
+class _Transitions:
+    """The selector's view and the successor state for one table, memoized for
+    one `train` or `plan_with_model` call.
+
+    The environment is deterministic, so a state's chosen views fix both,
+    except for the covered area: it is summed along the path, so the same
+    views added in another order can differ in the last bit and flip a
+    near-tie. Keys therefore hold the chosen bitset and the area.
+    """
+
+    def __init__(self, table: CoverageTable):
+        self.table = table
+        self.initial = CoverageState.initial(table)
+        self._views: dict[tuple, int | None] = {}
+        self._states: dict[tuple, CoverageState] = {}
+
+    def view(self, state: CoverageState, lam: float) -> int | None:
+        key = (state.chosen, state.covered.area, lam)
+        if key not in self._views:
+            self._views[key] = next_best_view(state, self.table, lam)
+        return self._views[key]
+
+    def add(self, state: CoverageState, view: int) -> CoverageState:
+        key = (state.chosen, state.covered.area, view)
+        if key not in self._states:
+            self._states[key] = state.add(self.table, view)
+        return self._states[key]
+
+
 def _best_action(net: ValueNetwork, state_vec: np.ndarray, n_actions: int) -> tuple[int, float]:
     """Greedy lam index and its q value; ties go to the lowest index."""
-    q = [forward(net, encode_input(state_vec, a, n_actions)) for a in range(n_actions)]
+    x = encode_input(state_vec, 0, n_actions)
+    hot = len(state_vec)
+    q = [forward(net, x)]
+    for a in range(1, n_actions):
+        x[hot + a - 1] = 0.0
+        x[hot + a] = 1.0
+        q.append(forward(net, x))
     best = 0
     for a in range(1, n_actions):
         if q[a] > q[best]:
@@ -131,7 +167,7 @@ def _best_action(net: ValueNetwork, state_vec: np.ndarray, n_actions: int) -> tu
     return best, q[best]
 
 
-def _best_successor(net: ValueNetwork, state: CoverageState, table: CoverageTable,
+def _best_successor(net: ValueNetwork, state: CoverageState, steps: _Transitions,
                     state_vec: np.ndarray, lams) -> tuple[int | None, float, float]:
     """(view, lam, value) of the best-valued successor state over every lam.
 
@@ -143,7 +179,7 @@ def _best_successor(net: ValueNetwork, state: CoverageState, table: CoverageTabl
     best_val = 0.0
     seen: dict[int, float] = {}
     for lam in lams:
-        view = next_best_view(state, table, lam)
+        view = steps.view(state, lam)
         if view is None:
             continue
         val = seen.get(view)
@@ -169,6 +205,7 @@ def train(table: CoverageTable, config: TrainConfig, callback=None) -> TrainedMo
     rng = np.random.default_rng(_seed_children(config.seed)[1])
     trace = np.zeros_like(net.params)
     lengths = np.empty(config.max_episodes, dtype=np.int32)
+    steps = _Transitions(table)
 
     def select(vec, eps):
         # exploratory iff the draw does not exceed eps
@@ -179,7 +216,7 @@ def train(table: CoverageTable, config: TrainConfig, callback=None) -> TrainedMo
     for ep in range(config.max_episodes):
         eps = config.epsilon if watkins and ep < config.epsilon_episodes else 0.0
         start = int(rng.integers(n))
-        state = CoverageState.initial(table).add(table, start)
+        state = steps.add(steps.initial, start)
         vec = np.zeros(n)
         vec[start] = 1.0
         trace.fill(0.0)
@@ -193,13 +230,13 @@ def train(table: CoverageTable, config: TrainConfig, callback=None) -> TrainedMo
                 apply_update(net, trace, delta, config.alpha)
                 break
             if td:
-                view, _lam, value = _best_successor(net, state, table, vec, lams)
+                view, _lam, value = _best_successor(net, state, steps, vec, lams)
             else:
-                view = next_best_view(state, table, lams[act])
+                view = steps.view(state, lams[act])
             if view is None:
                 # cannot happen below the coverage target: some unchosen view still gains
                 raise RuntimeError("selector stalled before the coverage target")
-            state = state.add(table, view)
+            state = steps.add(state, view)
             vec[view] = 1.0
             transitions += 1
             if not td:
@@ -249,23 +286,24 @@ def plan_with_model(model: TrainedModel, table: CoverageTable, rcc: float) -> Pl
             best_start = i
             best_val = val
 
-    state = CoverageState.initial(table).add(table, best_start)
+    steps = _Transitions(table)
+    state = steps.add(steps.initial, best_start)
     vec[best_start] = 1.0
     order = [best_start]
     lambdas: list[float] = []
     complete = True
     while not is_terminal(state, table, rcc):
         if td:
-            view, lam, _value = _best_successor(net, state, table, vec, lams)
+            view, lam, _value = _best_successor(net, state, steps, vec, lams)
         else:
             lam = lams[_best_action(net, vec, n_actions)[0]]
-            view = next_best_view(state, table, lam)
+            view = steps.view(state, lam)
         if view is None:
             complete = False
             break
         order.append(view)
         lambdas.append(lam)
-        state = state.add(table, view)
+        state = steps.add(state, view)
         vec[view] = 1.0
     return Plan(tuple(order), tuple(lambdas), coverage_fraction(state.covered.area, table),
                 model.config.algorithm, complete)

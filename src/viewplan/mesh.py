@@ -38,9 +38,14 @@ def _peel_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-def triangle_bits(indices: Iterable[int]) -> int:
+def triangle_bits(indices: Iterable[int], n_triangles: int | None = None) -> int:
+    """Bitset of the given indices. With `n_triangles`, an index outside
+    [0, n_triangles) raises ValueError before its bit is built, so a huge
+    index costs nothing."""
     bits = 0
     for i in indices:
+        if n_triangles is not None and not 0 <= i < n_triangles:
+            raise ValueError(f"triangle index {i} out of range for {n_triangles} triangles")
         bits |= 1 << i
     return bits
 
@@ -218,8 +223,11 @@ class Submesh:
     @classmethod
     def from_triangles(cls, mesh: TriangleMesh, triangles) -> Submesh:
         """Build from a bitset or an iterable of triangle indices."""
-        bits = triangles if isinstance(triangles, int) else triangle_bits(triangles)
-        mesh._check_bits(bits)
+        if isinstance(triangles, int):
+            bits = triangles
+            mesh._check_bits(bits)
+        else:
+            bits = triangle_bits(triangles, mesh.n_triangles)
         return _extend(cls.empty(mesh), bits)
 
     @property

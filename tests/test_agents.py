@@ -1,14 +1,21 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+import viewplan.agents as agents
 from viewplan import (
     CoverageTable,
     Submesh,
+    SyntheticSpec,
     TrainConfig,
+    ViewPoint,
+    generate_instance,
+    icosphere,
     plan_with_model,
     planar_grid,
+    precompute_coverage,
     run_fixed_lambda,
     train,
 )
@@ -250,6 +257,51 @@ class TestTrainingLoops:
         assert model_digest(model) == digest
         plan = plan_with_model(model, table, 1.0)
         assert (plan.order, plan.lambdas) == (order, lams)
+
+
+class TestTransitionMemo:
+    def test_each_selector_key_computed_once(self, monkeypatch):
+        table = generate_instance(SyntheticSpec("grid_trap", 6, 10, 3, seed=0)).table
+        for algo in ("td", "sarsa"):
+            keys = []
+            real = agents.next_best_view
+
+            def counting(state, table, lam):
+                keys.append((state.chosen, state.covered.area, lam))
+                return real(state, table, lam)
+
+            monkeypatch.setattr(agents, "next_best_view", counting)
+            train(table, TrainConfig(algorithm=algo, max_episodes=60, hidden=8, seed=3))
+            monkeypatch.undo()
+            assert len(keys) == len(set(keys))
+            # grid triangle areas add exactly, so the area never splits a key
+            assert len(keys) == len({(chosen, lam) for chosen, _area, lam in keys})
+
+    def test_no_state_shared_between_calls(self):
+        trap, wide = PINNED_RUNS[0], PINNED_RUNS[7]
+        assert (trap[:3], wide[:3]) == ((TRAP_SETS, "sarsa", {}), (WIDE_SETS, "sarsa", {}))
+        cfg = TrainConfig(algorithm="sarsa", max_episodes=40, hidden=8, seed=7)
+        for first, second in ((trap, wide), (wide, trap)):
+            for sets, _algo, _overrides, digest, order, lams in (first, second):
+                table = strip_table(sets)
+                model = train(table, cfg)
+                assert model_digest(model) == digest
+                plan = plan_with_model(model, table, 1.0)
+                assert (plan.order, plan.lambdas) == (order, lams)
+
+    def test_path_dependent_area_kept_in_the_key(self):
+        # On camera tables the covered area is summed along the path, so one
+        # set of views reached in two orders can differ in the last bit. A
+        # memo keyed by the chosen views alone changes this run's weights.
+        cams = [ViewPoint.aimed([2.2 * math.cos(a), 2.2 * math.sin(a), 0.5 * math.sin(3 * a)],
+                                fov_y=0.6)
+                for a in np.linspace(0.0, 2 * math.pi, 12, endpoint=False)]
+        table = precompute_coverage(icosphere(2), cams)
+        cfg = TrainConfig(algorithm="td", lambda_set=(0.0, 0.5, 1.0), max_episodes=50,
+                          hidden=8, seed=0)
+        # computed before the memo existed
+        assert model_digest(train(table, cfg)) == (
+            "0e31271f617ffd4380dd062da3522d7b6cdd850f4e8f6485326c6b39289d64b7")
 
 
 class TestPlanWithModel:

@@ -305,3 +305,18 @@ def test_console_script_installed(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert res.returncode == 0
     assert "greedy 3" in res.stdout
+
+
+def test_scipy_loaded_with_the_first_network_not_at_start():
+    # gen, precompute and baseline build no network, so their start must not
+    # pay for scipy; building one loads it, before plan's timer starts
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, viewplan.cli\n"
+            "print('scipy' in sys.modules)\n"
+            "viewplan.init_network(viewplan.NetworkConfig(input_dim=3, hidden=2))\n"
+            "print('scipy.special' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]

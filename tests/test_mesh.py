@@ -255,3 +255,17 @@ class TestIterBits:
     def test_negative_bitset_rejected(self, bits):
         with pytest.raises(ValueError, match="nonnegative"):
             iter_bits(bits)
+
+
+class _NoShift(int):
+    """An index that fails the test if a bit is ever built from it."""
+
+    def __rlshift__(self, other):
+        raise AssertionError(f"built a bit for index {int(self)} before the range check")
+
+
+class TestFromTriangles:
+    @pytest.mark.parametrize("index", [2, -1, 2**31])  # the square has 2 triangles
+    def test_out_of_range_index_rejected_before_its_bit_is_built(self, unit_square, index):
+        with pytest.raises(ValueError, match="out of range"):
+            Submesh.from_triangles(unit_square, [0, _NoShift(index)])
