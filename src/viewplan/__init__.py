@@ -15,8 +15,8 @@ from .mesh import (Submesh, TriangleMesh, brute_force_boundary, iter_bits, score
                    triangle_bits, union_coverage)
 from .network import (NetworkConfig, ValueNetwork, apply_update, encode_input, forward,
                       gradient, init_network)
-from .planner import (CoverageState, Plan, is_terminal, next_best_view, run_alternating,
-                      run_fixed_lambda)
+from .planner import (CoverageState, Plan, candidate_scores, is_terminal, next_best_view,
+                      run_alternating, run_fixed_lambda)
 from .raycast import Bvh, build_bvh, ray_triangle
 from .shapes import grid_square_triangles, icosphere, planar_grid
 from .visibility import CoverageTable, ViewPoint, precompute_coverage, view_coverage
@@ -28,8 +28,8 @@ __all__ = [
     "CoverageState", "CoverageTable", "CurveRow", "FormatError", "MethodRow",
     "NetworkConfig", "Plan", "Submesh", "SyntheticSpec",
     "TrainConfig", "TrainedModel", "TriangleMesh", "ValueNetwork", "ViewPoint",
-    "apply_update", "brute_force_boundary", "build_bvh", "curve_rows", "encode_input",
-    "exact_min_cover", "forward", "generate_instance", "gradient",
+    "apply_update", "brute_force_boundary", "build_bvh", "candidate_scores", "curve_rows",
+    "encode_input", "exact_min_cover", "forward", "generate_instance", "gradient",
     "grid_square_triangles", "icosphere", "init_network", "is_terminal", "iter_bits",
     "load_cameras", "load_coverage", "load_mesh", "load_model", "load_plan",
     "method_row", "next_best_view", "plan_with_model", "planar_grid",

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import check_lambda
 from .network import (NetworkConfig, ValueNetwork, apply_update, encode_input, forward,
                       gradient, init_network)
 from .planner import CoverageState, Plan, coverage_fraction, is_terminal, next_best_view
@@ -67,8 +68,8 @@ class TrainConfig:
         lams = tuple(float(l) for l in self.lambda_set)
         if not lams:
             raise ValueError("lambda_set must not be empty")
-        if any(l < 0.0 for l in lams):
-            raise ValueError(f"lambda values must be nonnegative, got {lams}")
+        for lam in lams:
+            check_lambda(lam)
         if len(set(lams)) != len(lams):
             raise ValueError(f"lambda values must be distinct, got {lams}")
         object.__setattr__(self, "lambda_set", lams)
@@ -129,7 +130,10 @@ class _Transitions:
     The environment is deterministic, so a state's chosen views fix both,
     except for the covered area: it is summed along the path, so the same
     views added in another order can differ in the last bit and flip a
-    near-tie. Keys therefore hold the chosen bitset and the area.
+    near-tie. Keys therefore hold the area. The selector's view depends on
+    the covered region alone (chosen views are covered), so its key is the
+    covered bitset, area and lam, and each region goes to the selector as the
+    first state that reached it, which keeps the pool's unions for every lam.
     """
 
     def __init__(self, table: CoverageTable):
@@ -137,11 +141,14 @@ class _Transitions:
         self.initial = CoverageState.initial(table)
         self._views: dict[tuple, int | None] = {}
         self._states: dict[tuple, CoverageState] = {}
+        self._regions: dict[tuple, CoverageState] = {}
 
     def view(self, state: CoverageState, lam: float) -> int | None:
-        key = (state.chosen, state.covered.area, lam)
+        region = (state.covered.bits, state.covered.area)
+        key = (*region, lam)
         if key not in self._views:
-            self._views[key] = next_best_view(state, self.table, lam)
+            first = self._regions.setdefault(region, state)
+            self._views[key] = next_best_view(first, self.table, lam)
         return self._views[key]
 
     def add(self, state: CoverageState, view: int) -> CoverageState:

@@ -4,9 +4,15 @@ A mesh has one undirected edge table: `edges` (u < v), `tri_edges` (three edge
 ids per triangle) and `edge_length`. A submesh is a triangle bitset with a
 cached area and boundary. On these manifold meshes an edge is on the boundary
 exactly when an odd number of its incident triangles are in the set, so the
-boundary is an edge-id bitset that each added triangle XORs with its three
-edges, and unions only touch the triangles they add. `brute_force_boundary`
-counts incidences from scratch as the cross-check of this parity rule.
+boundary is an edge-id bitset that the added triangles toggle, three edges
+each, and unions only touch the triangles they add. The bookkeeping runs on
+numpy arrays: bitsets are unpacked to masks, each new triangle toggles its
+edges with `np.logical_xor.at`, and areas and boundary lengths are summed one
+value at a time in ascending index order (`sequential_sum`), as the reference
+loop `area_of_bits` adds them.
+`PatchArrays` measures the union of one submesh with each of many patches in
+one array pass. `brute_force_boundary` counts incidences from scratch as the
+cross-check of this parity rule.
 """
 from __future__ import annotations
 
@@ -15,6 +21,8 @@ import math
 from typing import Iterable, Iterator
 
 import numpy as np
+
+_CHUNK_ROWS = 32  # patches measured per array pass in `PatchArrays.unions`
 
 
 def iter_bits(bits: int) -> Iterator[int]:
@@ -48,6 +56,26 @@ def triangle_bits(indices: Iterable[int], n_triangles: int | None = None) -> int
             raise ValueError(f"triangle index {i} out of range for {n_triangles} triangles")
         bits |= 1 << i
     return bits
+
+
+def bit_mask(bits: int, n: int) -> np.ndarray:
+    """A bitset below 2**n as a fresh bool array of length n (bit i is element i)."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def mask_bits(mask: np.ndarray) -> int:
+    """The bitset of a bool array; inverse of `bit_mask`."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def sequential_sum(values: np.ndarray) -> float:
+    """values[0] + values[1] + ..., added one at a time from 0.0.
+
+    `np.cumsum` adds strictly in order; `np.sum` adds pairwise, which can
+    round differently in the last bits.
+    """
+    return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
 class TriangleMesh:
@@ -122,11 +150,9 @@ class TriangleMesh:
             raise ValueError(f"triangle {int(np.argmin(measured))} overflows float64; "
                              "vertex coordinates are too large")
 
-        # Plain-Python copies for the per-triangle loops of submesh bookkeeping.
+        # plain-Python copies for the reference loops (area_of_bits, brute_force_boundary)
         self._tri_rows = triangles.tolist()
         self._area_list = self.triangle_area.tolist()
-        self._length_list = self.edge_length.tolist()
-        self._tri_edge_rows = self.tri_edges.tolist()
         self._full_bits = (1 << len(triangles)) - 1
         self._digest: str | None = None
 
@@ -141,6 +167,10 @@ class TriangleMesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
 
     @property
     def full_bits(self) -> int:
@@ -257,16 +287,12 @@ def _extend(x: Submesh, new_bits: int) -> Submesh:
     toggles its three edges in the boundary.
     """
     mesh = x.mesh
-    area = mesh._area_list
-    rows = mesh._tri_edge_rows
-    added = 0.0
-    boundary = x.boundary
-    for t in iter_bits(new_bits):
-        added += area[t]
-        a, b, c = rows[t]
-        boundary ^= (1 << a) | (1 << b) | (1 << c)
-    return Submesh(mesh, x.bits | new_bits, boundary, x.area + added,
-                   _sum_in_order(mesh._length_list, boundary))
+    new = bit_mask(new_bits, mesh.n_triangles).nonzero()[0]
+    boundary = bit_mask(x.boundary, mesh.n_edges)
+    np.logical_xor.at(boundary, mesh.tri_edges.take(new, axis=0), True)
+    return Submesh(mesh, x.bits | new_bits, mask_bits(boundary),
+                   x.area + sequential_sum(mesh.triangle_area.take(new)),
+                   sequential_sum(mesh.edge_length[boundary]))
 
 
 def _sum_in_order(values: list[float], bits: int) -> float:
@@ -288,6 +314,12 @@ def union_coverage(x1: Submesh, x2: Submesh) -> Submesh:
     return _extend(x1, x2.bits & ~x1.bits)
 
 
+def check_lambda(lam: float) -> None:
+    """lam must be a finite, nonnegative number."""
+    if not (0.0 <= lam < math.inf):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+
+
 def score(x: Submesh, lam: float) -> float:
     """Covered area divided by boundary length to the power lam.
 
@@ -295,10 +327,119 @@ def score(x: Submesh, lam: float) -> float:
     (boundary-free) nonempty submesh scores +inf for lam > 0: no perimeter left
     to pay for.
     """
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    check_lambda(lam)
     if x.bits == 0:
         raise ValueError("score is undefined for an empty submesh")
-    if x.boundary_length == 0.0:
-        return x.area if lam == 0.0 else math.inf
-    return x.area / x.boundary_length**lam
+    return score_value(x.area, x.boundary_length, lam)
+
+
+def score_value(area: float, boundary_length: float, lam: float) -> float:
+    """`score` of a nonempty patch from its area and boundary length; lam unchecked."""
+    if boundary_length == 0.0:
+        return area if lam == 0.0 else math.inf
+    return area / boundary_length**lam
+
+
+class PatchArrays:
+    """Fixed patches (submeshes) of one mesh as padded arrays, one row per
+    patch, so that the union of one covered submesh with each of many patches
+    is measured in one array pass.
+
+    Row i lists patch i's triangles ascending, and the three edges of each as
+    slots sorted by edge id. Rows are padded to a common width with a padding
+    triangle (index n_triangles, zero area, never covered) whose edges are a
+    padding edge (index n_edges, zero length). Each union's area and boundary
+    length are bit-equal to `union_coverage`'s: both are sums in ascending
+    index order, taken with `np.cumsum` along rows in which the values left out
+    are +0.0, and adding +0.0 leaves a sum unchanged. Rows are measured in
+    fixed chunks of `_CHUNK_ROWS`, which bounds the temporary arrays.
+    """
+
+    def __init__(self, mesh: TriangleMesh, patches: Iterable[Submesh]):
+        patches = tuple(patches)
+        if any(p.mesh is not mesh for p in patches):
+            raise ValueError("patch belongs to a different mesh")
+        n_tri, n_edges = mesh.n_triangles, mesh.n_edges
+        if 2 * n_edges + 2 >= 2**31:
+            raise ValueError("mesh too large for 32-bit slot keys")
+        self.mesh = mesh
+        self.size = np.array([p.count for p in patches], dtype=np.int64)
+        self._area = [p.area for p in patches]
+        width = max(1, int(self.size.max(initial=0)))
+        # per row: the triangles, then the slots' triangles bracketed by two
+        # padding entries; the slot keys line up with the slots' triangles
+        self._index = np.full((len(patches), 4 * width + 2), n_tri, dtype=np.int32)
+        self._slot_key = np.full((len(patches), 3 * width + 2), 2 * n_edges, dtype=np.int32)
+        self._slot_key[:, 0], self._slot_key[:, -1] = -1, 2 * n_edges + 2
+        tri_edges = np.vstack([mesh.tri_edges, [n_edges] * 3])
+        for start in range(0, len(patches), _CHUNK_ROWS):
+            chunk = patches[start:start + _CHUNK_ROWS]
+            rows = slice(start, start + len(chunk))
+            raw = b"".join(p.bits.to_bytes((n_tri + 7) // 8, "little") for p in chunk)
+            raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(chunk), -1)
+            entry = np.unpackbits(raw, axis=1, count=n_tri, bitorder="little").view(bool)
+            entry = entry.ravel().nonzero()[0]  # row * n_triangles + triangle, ascending
+            size = self.size[rows]
+            column = np.arange(len(entry)) - np.repeat(np.cumsum(size) - size, size)
+            triangle = self._index[rows, :width]
+            triangle[entry // n_tri, column] = entry % n_tri
+            edges = tri_edges.take(triangle, axis=0).reshape(len(chunk), -1)
+            order = edges.argsort(axis=1, kind="stable")
+            order += np.arange(len(chunk))[:, None] * edges.shape[1]
+            # slot key 2 * edge, plus 1 per call where the slot's triangle is covered
+            self._slot_key[rows, 1:-1] = 2 * edges.take(order)
+            self._index[rows, width + 1:-1] = triangle.take(order // 3)
+        self._width = width
+        self._triangle = self._index[:, :width]
+        self._triangle_area = np.append(mesh.triangle_area, 0.0)
+        self._key_length = np.zeros(2 * n_edges + 2)
+        self._key_length[0:2 * n_edges:2] = mesh.edge_length
+
+    def overlap(self, covered: Submesh) -> tuple[np.ndarray, np.ndarray]:
+        """(mask, inside): the covered-triangle mask that `unions` takes, and
+        how many of each patch's triangles are covered."""
+        mask = bit_mask(covered.bits, self.mesh.n_triangles + 1)
+        return mask, mask[self._triangle].sum(axis=1)
+
+    def unions(self, covered: Submesh, rows: np.ndarray, mask: np.ndarray,
+               inside: np.ndarray) -> tuple[list[float], list[float]]:
+        """(area, boundary_length) of `covered` united with each patch in
+        `rows`, where (mask, inside) is `overlap(covered)`. Each patch must
+        add a triangle to `covered`."""
+        edges = 2 * bit_mask(covered.boundary, self.mesh.n_edges).nonzero()[0]
+        area: list[float] = []
+        length: list[float] = []
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            index = self._index.take(chunk, axis=0)
+            covered_at = mask.take(index)
+            area += self._areas(covered, chunk, inside, index, covered_at)
+            length += self._boundary_lengths(chunk, edges, covered_at)
+        return area, length
+
+    def _areas(self, covered, rows, inside, index, covered_at) -> list[float]:
+        w = self._width
+        area = self._triangle_area.take(index[:, :w])
+        area *= ~covered_at[:, :w]  # the new triangles only
+        added = area.cumsum(axis=1, out=area)[:, -1]
+        # a patch holding all of `covered` is the union itself (`union_coverage`
+        # returns it), with its area summed over all of its triangles
+        count, base = covered.count, covered.area
+        return [self._area[r] if k == count else base + a
+                for r, k, a in zip(rows.tolist(), inside.take(rows).tolist(), added.tolist())]
+
+    def _boundary_lengths(self, rows, edges, covered_at) -> list[float]:
+        # Per row, the covered boundary's keys 2 * edge and the patch's slot
+        # keys (+1 for a slot of a covered triangle), sorted. An edge is on the
+        # union's boundary iff one key 2 * edge occurs: from the covered
+        # boundary or from one new triangle, not from both or two. The slot
+        # keys -1 and 2 * n_edges + 2 bracket every row.
+        keys = np.empty((len(rows), len(edges) + self._slot_key.shape[1]), dtype=np.int32)
+        keys[:, :len(edges)] = edges
+        np.add(self._slot_key.take(rows, axis=0), covered_at[:, self._width:],
+               out=keys[:, len(edges):])
+        keys.sort(axis=1)
+        differ = keys[:, 1:] != keys[:, :-1]
+        length = self._key_length.take(keys[:, 1:-1])
+        length *= differ[:, :-1] & differ[:, 1:]
+        return length.cumsum(axis=1, out=length)[:, -1].tolist()

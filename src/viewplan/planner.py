@@ -7,10 +7,10 @@ views that add no new triangle are never taken.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
-from .mesh import Submesh, score, union_coverage
+from .mesh import Submesh, check_lambda, score_value, union_coverage
 from .visibility import CoverageTable
 
 
@@ -33,11 +33,18 @@ class Plan:
 
 @dataclass(eq=False)
 class CoverageState:
-    """Chosen views (bitset) plus the union of their coverage."""
+    """Chosen views (bitset) plus the union of their coverage.
+
+    `covered` holds every chosen view's coverage (`initial` and `add` keep it
+    so), so a chosen view never adds a triangle. A state keeps its pool's
+    unions (`pool_unions`) for the last table it was scored on: they do not
+    depend on lam.
+    """
 
     chosen: int
     covered: Submesh
     step: int
+    _unions: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def initial(cls, table: CoverageTable) -> CoverageState:
@@ -57,32 +64,46 @@ def _check_pair(state: CoverageState, table: CoverageTable) -> None:
         raise ValueError("state and table refer to different meshes")
 
 
-def next_best_view(state: CoverageState, table: CoverageTable, lam: float) -> int | None:
-    """Index of the best admissible view, or None when no view adds coverage.
+def pool_unions(state: CoverageState, table: CoverageTable) -> list[tuple[int, float, float]]:
+    """(view, area, boundary length) of the union of the covered region with
+    each view in the selection pool, views ascending, measured for the whole
+    pool in one array pass.
 
-    Admissible: unchosen, adds at least one new triangle, and overlaps the
-    covered region (the overlap requirement is waived when the covered region
-    is empty, or when no positive-gain view overlaps it). Ties go to the lowest
-    index.
+    The pool holds the views that add at least one new triangle (so no chosen
+    view) and overlap the covered region; the overlap requirement is waived
+    when the covered region is empty, or when no such view overlaps it. Each
+    area and length equals `union_coverage(state.covered,
+    table.coverage[view])`'s. They depend on the covered region only, not on
+    lam or on which views were chosen.
     """
     _check_pair(state, table)
-    covered = state.covered
-    gaining = []
-    overlapping = []
-    for idx in range(table.n_views):
-        if (state.chosen >> idx) & 1:
-            continue
-        bits = table.coverage[idx].bits
-        if bits & ~covered.bits == 0:
-            continue
-        gaining.append(idx)
-        if covered.bits == 0 or bits & covered.bits:
-            overlapping.append(idx)
-    pool = overlapping if overlapping else gaining
+    patches = table.patches
+    mask, inside = patches.overlap(state.covered)
+    gaining = inside < patches.size
+    overlapping = gaining & (inside > 0)
+    rows = (overlapping if overlapping.any() else gaining).nonzero()[0]
+    area, length = patches.unions(state.covered, rows, mask, inside)
+    return list(zip(rows.tolist(), area, length))
+
+
+def candidate_scores(state: CoverageState, table: CoverageTable,
+                     lam: float) -> list[tuple[int, float, float, float]]:
+    """(view, area, boundary length, score) for each view of `pool_unions`;
+    each score equals `score(union_coverage(state.covered,
+    table.coverage[view]), lam)`."""
+    check_lambda(lam)
+    if state._unions is None or state._unions[0] is not table:
+        state._unions = (table, pool_unions(state, table))
+    return [(v, a, b, score_value(a, b, lam)) for v, a, b in state._unions[1]]
+
+
+def next_best_view(state: CoverageState, table: CoverageTable, lam: float) -> int | None:
+    """Index of the best-scoring view of the selection pool
+    (`candidate_scores`), or None when no view adds coverage. Ties go to the
+    lowest index."""
     best_idx = None
     best_score = -1.0
-    for idx in pool:
-        s = score(union_coverage(covered, table.coverage[idx]), lam)
+    for idx, _area, _length, s in candidate_scores(state, table, lam):
         if best_idx is None or s > best_score:
             best_idx = idx
             best_score = s
@@ -137,6 +158,7 @@ def run_fixed_lambda(table: CoverageTable, lam: float, rcc: float = 1.0,
     `start` seeds the plan with a forced first view; selection then continues
     from its coverage.
     """
+    check_lambda(lam)
     method = "greedy" if lam == 0.0 else "fixed-lambda"
     return _run(table, rcc, lambda _step: lam, method, start)
 

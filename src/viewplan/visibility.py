@@ -11,10 +11,11 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .mesh import Submesh, TriangleMesh, union_coverage
+from .mesh import PatchArrays, Submesh, TriangleMesh, union_coverage
 from .raycast import Bvh, build_bvh
 
 _SELF_HIT_FRACTION = 1e-6  # of the bounding-box diagonal
@@ -166,6 +167,12 @@ class CoverageTable:
     @property
     def n_views(self) -> int:
         return len(self.coverage)
+
+    @cached_property
+    def patches(self) -> PatchArrays:
+        """The per-view coverage as padded arrays for batched scoring, built on
+        first use."""
+        return PatchArrays(self.mesh, self.coverage)
 
 
 def precompute_coverage(mesh: TriangleMesh, views, workers: int | None = None) -> CoverageTable:

@@ -119,6 +119,11 @@ class TestTrainConfig:
         assert cfg.lambda_set == (0.0, 1.0)
         assert all(isinstance(l, float) for l in cfg.lambda_set)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(algorithm="td", lambda_set=(bad, 1.0))
+
     def test_scalar_ranges(self):
         with pytest.raises(ValueError):
             TrainConfig(algorithm="td", alpha=0.0)

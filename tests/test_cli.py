@@ -163,6 +163,22 @@ class TestTrainAndPlan:
         assert "lambda set" in capsys.readouterr().err
 
 
+    def test_train_non_finite_lambda_set(self, trap_cache, tmp_path, capsys):
+        out = tmp_path / "m.wts"
+        assert main(["train", "--coverage", str(trap_cache), "--algo", "td", "--out", str(out),
+                     "--seed", "0", "--episodes", "5", "--lambda-set", "nan,1"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_baseline_non_finite_lambda(self, trap_cache, tmp_path, capsys, lam):
+        out = tmp_path / "plan.json"
+        assert main(["baseline", "--coverage", str(trap_cache), "--method", "fixed-lambda",
+                     "--lambda", lam, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPrecompute:
     def write_scene(self, tmp_path):
         mesh = tmp_path / "square.obj"

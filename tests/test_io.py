@@ -415,6 +415,9 @@ DAMAGED_FILES = {
     "model-config-gamma": (
         "model", lambda d, c: edit_config(d, c, lambda cfg: cfg.update(gamma=0.9)),
         "gamma", "config"),
+    "model-config-lambda-nan": (
+        "model", lambda d, c: edit_config(d, c, lambda cfg: cfg.update(lambda_set=[math.nan, 1.0])),
+        "finite and nonnegative", "config"),
     "model-header-algorithm": (
         "model", lambda d, c: _put(d, 8, b"\x01"), "header says watkins-q", "config"),
     "model-header-shape": (

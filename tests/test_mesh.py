@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from viewplan import (Submesh, TriangleMesh, brute_force_boundary, iter_bits, score,
                       triangle_bits, union_coverage)
+from viewplan.mesh import bit_mask, mask_bits
 
 from conftest import boundary_pairs, grown_patch, random_bits, submesh_of
 
@@ -269,3 +270,58 @@ class TestFromTriangles:
     def test_out_of_range_index_rejected_before_its_bit_is_built(self, unit_square, index):
         with pytest.raises(ValueError, match="out of range"):
             Submesh.from_triangles(unit_square, [0, _NoShift(index)])
+
+
+def ordered_length(mesh: TriangleMesh, pairs) -> float:
+    """Boundary length of vertex pairs, added one at a time in ascending edge id."""
+    ids = {tuple(e): i for i, e in enumerate(mesh.edges.tolist())}
+    total = 0.0
+    for i in sorted(ids[p] for p in pairs):
+        total += float(mesh.edge_length[i])
+    return total
+
+
+class TestArrayBookkeeping:
+    # ico1 has 80 triangles and 120 edges, below the 256-bit switch of
+    # iter_bits; ico3 has 1280 triangles and 1920 edges, above it
+    @pytest.mark.parametrize("name", ["ico1", "ico3"])
+    def test_from_triangles_matches_the_reference_loops(self, name, request):
+        mesh = request.getfixturevalue(name)
+        rng = np.random.default_rng(23)
+        for density in (0.02, 0.3, 0.9):
+            bits = random_bits(mesh, rng, density)
+            x = Submesh.from_triangles(mesh, bits)
+            oracle = brute_force_boundary(mesh, bits)
+            assert boundary_pairs(x) == oracle
+            assert x.area == mesh.area_of_bits(bits)
+            assert x.boundary_length == ordered_length(mesh, oracle)
+
+    @pytest.mark.parametrize("name", ["ico1", "ico3"])
+    def test_union_chain_matches_the_reference_loops(self, name, request):
+        mesh = request.getfixturevalue(name)
+        rng = np.random.default_rng(29)
+        acc = Submesh.empty(mesh)
+        for _ in range(8):
+            part = submesh_of(mesh, grown_patch(mesh, rng, mesh.n_triangles // 10))
+            before = acc
+            acc = union_coverage(acc, part)
+            oracle = brute_force_boundary(mesh, acc.bits)
+            assert boundary_pairs(acc) == oracle
+            assert acc.boundary_length == ordered_length(mesh, oracle)
+            if acc is not part and acc is not before:
+                assert acc.area == before.area + mesh.area_of_bits(part.bits & ~before.bits)
+
+    @pytest.mark.parametrize("bits", [0, 1, (1 << 7) | 1, (1 << 300) | (1 << 255) | 5])
+    def test_mask_round_trip(self, bits):
+        mask = bit_mask(bits, 301)
+        assert mask.dtype == bool and len(mask) == 301
+        assert mask.nonzero()[0].tolist() == list(iter_bits(bits))
+        assert mask_bits(mask) == bits
+
+
+class TestNonFiniteLambda:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_score_rejects(self, unit_square, lam):
+        x = submesh_of(unit_square, 0b11)
+        with pytest.raises(ValueError, match="finite"):
+            score(x, lam)

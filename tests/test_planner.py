@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from viewplan import (
     CoverageState,
     CoverageTable,
     Submesh,
+    SyntheticSpec,
     TriangleMesh,
     ViewPoint,
+    candidate_scores,
+    generate_instance,
     grid_square_triangles,
     icosphere,
     is_terminal,
@@ -20,6 +25,7 @@ from viewplan import (
     score,
     union_coverage,
 )
+from viewplan import planner
 
 from conftest import grown_patch, submesh_of, tri_neighbors
 
@@ -309,3 +315,150 @@ class TestRuns:
             table = table_from_sets(mesh, [sorted(s) for s in sets])
             plan = run_fixed_lambda(table, 0.0)
             assert list(plan.order) == greedy_oracle(areas, sets, 1.0)
+
+
+def pool_oracle(state, table):
+    """The selection pool by bitset arithmetic, one view at a time."""
+    covered = state.covered.bits
+    gaining = [i for i, sm in enumerate(table.coverage)
+               if not (state.chosen >> i) & 1 and sm.bits & ~covered]
+    overlapping = [i for i in gaining if not covered or table.coverage[i].bits & covered]
+    return overlapping or gaining
+
+
+def assert_batched_matches_oracle(state, table, lams=(0.0, 0.5, 1.0, 2.0)):
+    """Every batched (area, boundary length, score) equals the one-at-a-time
+    `union_coverage` value exactly, for the pool and for every gaining view."""
+    covered = state.covered
+    for lam in lams:
+        got = candidate_scores(state, table, lam)
+        assert [v for v, *_ in got] == pool_oracle(state, table)
+        for v, area, length, s in got:
+            u = union_coverage(covered, table.coverage[v])
+            assert (area, length, s) == (u.area, u.boundary_length, score(u, lam)), (v, lam)
+    rows = np.array([i for i, sm in enumerate(table.coverage) if sm.bits & ~covered.bits],
+                    dtype=np.int64)
+    mask, inside = table.patches.overlap(covered)
+    area, length = table.patches.unions(covered, rows, mask, inside)
+    for v, a, b in zip(rows.tolist(), area, length):
+        u = union_coverage(covered, table.coverage[v])
+        assert (a, b) == (u.area, u.boundary_length), v
+
+
+def camera_ring_table():
+    """Icosphere ring table: non-dyadic areas and edge lengths, so the order
+    of every sum shows in its last bits."""
+    views = [ViewPoint.aimed((2.4 * math.cos(a), 2.4 * math.sin(a), 0.5 * math.sin(3 * a)),
+                             fov_y=math.radians(45))
+             for a in np.linspace(0.0, 2 * math.pi, 12, endpoint=False)]
+    return precompute_coverage(icosphere(3), views)
+
+
+@pytest.fixture(scope="module")
+def large_grid_table():
+    spec = SyntheticSpec("random_patches", 40, 40, 150, patch_min=2, patch_max=10, seed=0,
+                         certify=False)
+    return generate_instance(spec).table
+
+
+class TestBatchedScores:
+    def test_every_trap_state(self):
+        table = generate_instance(SyntheticSpec("grid_trap", 6, 10, 3, seed=0)).table
+        frontier = [CoverageState.initial(table)]
+        seen = 0
+        while frontier:
+            state = frontier.pop()
+            assert_batched_matches_oracle(state, table)
+            seen += 1
+            frontier += [state.add(table, v) for v in range(table.n_views)
+                         if not (state.chosen >> v) & 1 and v > state.chosen.bit_length() - 1]
+        assert seen == 2 ** table.n_views
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(order=st.lists(st.integers(0, 149), min_size=0, max_size=40, unique=True))
+    def test_large_grid_states(self, large_grid_table, order):
+        state = CoverageState.initial(large_grid_table)
+        for v in order:
+            state = state.add(large_grid_table, v)
+        assert_batched_matches_oracle(state, large_grid_table)
+
+    def test_camera_ring_states(self):
+        table = camera_ring_table()
+        rng = np.random.default_rng(3)
+        for trial in range(6):
+            state = CoverageState.initial(table)
+            for v in rng.permutation(table.n_views)[: trial + 1].tolist():
+                state = state.add(table, v)
+                assert_batched_matches_oracle(state, table)
+        for lam in (0.0, 1.0):
+            state = CoverageState.initial(table)
+            while (v := next_best_view(state, table, lam)) is not None:
+                assert_batched_matches_oracle(state, table)
+                state = state.add(table, v)
+
+    def test_closing_the_surface_scores_inf(self, ico1):
+        half = [t for t in range(ico1.n_triangles) if ico1.triangle_centroid[t, 2] > 0.0]
+        rest = [t for t in range(ico1.n_triangles) if t not in half]
+        table = table_from_sets(ico1, [half, rest, half[:5]])
+        state = CoverageState.initial(table).add(table, 0)
+        assert_batched_matches_oracle(state, table)
+        (view, area, length, s), = candidate_scores(state, table, 1.0)
+        assert (view, length, s) == (1, 0.0, math.inf)
+        assert candidate_scores(state, table, 0.0)[0][3] == area
+
+    def test_view_holding_the_covered_region_keeps_its_own_area(self):
+        # union_coverage returns such a view itself, whose area sums all of its
+        # triangles; covered area plus the new triangles rounds differently here
+        mesh = jittered_sphere(1)
+        rng = np.random.default_rng(1)
+        neigh = tri_neighbors(mesh)
+        inner = grown_patch(mesh, rng, 9, neigh)
+        outer = inner | grown_patch(mesh, rng, 12, neigh)
+        table = CoverageTable.build(mesh, None, [Submesh.from_triangles(mesh, inner),
+                                                 Submesh.from_triangles(mesh, outer)])
+        state = CoverageState.initial(table).add(table, 0)
+        view = table.coverage[1]
+        assert union_coverage(state.covered, view) is view
+        added = Submesh.from_triangles(mesh, outer & ~inner).area
+        assert state.covered.area + added != view.area
+        assert_batched_matches_oracle(state, table)
+
+    def test_empty_pool_returns_none(self, unit_square):
+        table = table_from_sets(unit_square, [[0], [0, 1], [1]])
+        state = CoverageState.initial(table).add(table, 1)
+        assert candidate_scores(state, table, 1.0) == []
+        assert next_best_view(state, table, 1.0) is None
+
+    def test_unions_kept_across_lambdas(self, monkeypatch):
+        table = camera_ring_table()
+        state = CoverageState.initial(table).add(table, 0)
+        calls = []
+        real = planner.pool_unions
+        monkeypatch.setattr(planner, "pool_unions",
+                            lambda *args: calls.append(args) or real(*args))
+        scores = {lam: candidate_scores(state, table, lam) for lam in (0.0, 0.5, 2.0)}
+        assert len(calls) == 1
+        assert [x[:3] for x in scores[0.5]] == [x[:3] for x in scores[2.0]] == real(state, table)
+        other = CoverageTable.build(table.mesh, None, table.coverage[::-1])
+        assert candidate_scores(state, other, 0.5) == candidate_scores(
+            CoverageState(state.chosen, state.covered, state.step), other, 0.5)
+        assert len(calls) == 3
+
+
+class TestNonFiniteLambda:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_fixed_lambda_plan_rejected(self, lam):
+        table = generate_instance(SyntheticSpec("grid_trap", 6, 10, 3, seed=0)).table
+        with pytest.raises(ValueError, match="finite"):
+            run_fixed_lambda(table, lam)
+        # rejected before any selection, even when none would run
+        with pytest.raises(ValueError, match="finite"):
+            run_fixed_lambda(table, lam, rcc=0.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_selector_rejects(self, unit_square, lam):
+        table = table_from_sets(unit_square, [[0], [1]])
+        state = CoverageState.initial(table)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            next_best_view(state, table, lam)
