@@ -25,7 +25,7 @@ from viewplan import (
     score,
     union_coverage,
 )
-from viewplan import planner
+from viewplan import mesh, planner
 
 from conftest import grown_patch, submesh_of, tri_neighbors
 
@@ -382,6 +382,17 @@ class TestBatchedScores:
         for v in order:
             state = state.add(large_grid_table, v)
         assert_batched_matches_oracle(state, large_grid_table)
+
+    def test_pools_wider_than_one_chunk(self, large_grid_table):
+        table = large_grid_table
+        state = CoverageState.initial(table)  # every view is in the first pool
+        wide = 0
+        while state.covered.bits != table.achievable.bits:
+            if len(pool_oracle(state, table)) > mesh._CHUNK_ROWS:
+                assert_batched_matches_oracle(state, table, lams=(0.0, 1.0))
+                wide += 1
+            state = state.add(table, next_best_view(state, table, 1.0))
+        assert wide >= 2
 
     def test_camera_ring_states(self):
         table = camera_ring_table()
