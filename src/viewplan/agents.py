@@ -20,20 +20,22 @@ The agents differ in two places only:
   configured window, and resets the trace after an exploratory pick instead
   of decaying it.
 
-plan_with_model walks the same greedy steps without learning. Both memoize
-the selector's views and successor states for the duration of the call.
+plan_with_model walks the same greedy steps without learning, through the
+planner's own loop (`planner.run_policy`). train memoizes the selector's
+views and successor states for the duration of the call.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .mesh import check_lambda
+from .mesh import bit_mask, check_lambda
 from .network import (NetworkConfig, ValueNetwork, apply_update, encode_input, forward,
                       gradient, init_network)
-from .planner import CoverageState, Plan, coverage_fraction, is_terminal, next_best_view
+from .planner import CoverageState, Plan, is_terminal, next_best_view, run_policy
 from .visibility import CoverageTable
 
 REWARD = -1.0
@@ -125,15 +127,14 @@ def network_config(config: TrainConfig, n_views: int) -> NetworkConfig:
 
 class _Transitions:
     """The selector's view and the successor state for one table, memoized for
-    one `train` or `plan_with_model` call.
+    one `train` call.
 
     The environment is deterministic, so a state's chosen views fix both,
     except for the covered area: it is summed along the path, so the same
     views added in another order can differ in the last bit and flip a
     near-tie. Keys therefore hold the area. The selector's view depends on
     the covered region alone (chosen views are covered), so its key is the
-    covered bitset, area and lam, and each region goes to the selector as the
-    first state that reached it, which keeps the pool's unions for every lam.
+    covered bitset, area and lam.
     """
 
     def __init__(self, table: CoverageTable):
@@ -141,14 +142,11 @@ class _Transitions:
         self.initial = CoverageState.initial(table)
         self._views: dict[tuple, int | None] = {}
         self._states: dict[tuple, CoverageState] = {}
-        self._regions: dict[tuple, CoverageState] = {}
 
     def view(self, state: CoverageState, lam: float) -> int | None:
-        region = (state.covered.bits, state.covered.area)
-        key = (*region, lam)
+        key = (state.covered.bits, state.covered.area, lam)
         if key not in self._views:
-            first = self._regions.setdefault(region, state)
-            self._views[key] = next_best_view(first, self.table, lam)
+            self._views[key] = next_best_view(state, self.table, lam)
         return self._views[key]
 
     def add(self, state: CoverageState, view: int) -> CoverageState:
@@ -174,9 +172,10 @@ def _best_action(net: ValueNetwork, state_vec: np.ndarray, n_actions: int) -> tu
     return best, q[best]
 
 
-def _best_successor(net: ValueNetwork, state: CoverageState, steps: _Transitions,
+def _best_successor(net: ValueNetwork, select: Callable[[float], int | None],
                     state_vec: np.ndarray, lams) -> tuple[int | None, float, float]:
-    """(view, lam, value) of the best-valued successor state over every lam.
+    """(view, lam, value) of the best-valued successor state over every lam,
+    `select(lam)` naming the view the selector takes at lam.
 
     Lams that select the same view share one evaluation; ties go to the first
     lam. The view is None when the selector stalls. state_vec is restored.
@@ -186,7 +185,7 @@ def _best_successor(net: ValueNetwork, state: CoverageState, steps: _Transitions
     best_val = 0.0
     seen: dict[int, float] = {}
     for lam in lams:
-        view = steps.view(state, lam)
+        view = select(lam)
         if view is None:
             continue
         val = seen.get(view)
@@ -237,7 +236,8 @@ def train(table: CoverageTable, config: TrainConfig, callback=None) -> TrainedMo
                 apply_update(net, trace, delta, config.alpha)
                 break
             if td:
-                view, _lam, value = _best_successor(net, state, steps, vec, lams)
+                view, _lam, value = _best_successor(
+                    net, lambda lam: steps.view(state, lam), vec, lams)
             else:
                 view = steps.view(state, lams[act])
             if view is None:
@@ -282,35 +282,20 @@ def plan_with_model(model: TrainedModel, table: CoverageTable, rcc: float) -> Pl
     td = model.config.algorithm == "td"
     net = model.network
 
-    vec = np.zeros(n)
-    best_start = 0
-    best_val = 0.0
-    for i in range(n):
-        vec[i] = 1.0
-        val = forward(net, vec) if td else _best_action(net, vec, n_actions)[1]
-        vec[i] = 0.0
-        if i == 0 or val > best_val:
-            best_start = i
-            best_val = val
+    def state_vec(chosen: int) -> np.ndarray:
+        return bit_mask(chosen, n).astype(np.float64)
 
-    steps = _Transitions(table)
-    state = steps.add(steps.initial, best_start)
-    vec[best_start] = 1.0
-    order = [best_start]
-    lambdas: list[float] = []
-    complete = True
-    while not is_terminal(state, table, rcc):
+    def start_value(view: int) -> float:
+        vec = state_vec(1 << view)
+        return forward(net, vec) if td else _best_action(net, vec, n_actions)[1]
+
+    def lam_at(state: CoverageState, _step: int) -> float:
+        vec = state_vec(state.chosen)
         if td:
-            view, lam, _value = _best_successor(net, state, steps, vec, lams)
-        else:
-            lam = lams[_best_action(net, vec, n_actions)[0]]
-            view = steps.view(state, lam)
-        if view is None:
-            complete = False
-            break
-        order.append(view)
-        lambdas.append(lam)
-        state = steps.add(state, view)
-        vec[view] = 1.0
-    return Plan(tuple(order), tuple(lambdas), coverage_fraction(state.covered.area, table),
-                model.config.algorithm, complete)
+            select = lambda lam: next_best_view(state, table, lam)
+            return _best_successor(net, select, vec, lams)[1]
+        return lams[_best_action(net, vec, n_actions)[0]]
+
+    # max keeps the first of equal values: ties go to the lowest view
+    start = max(range(n), key=start_value)
+    return run_policy(table, rcc, lam_at, model.config.algorithm, start)

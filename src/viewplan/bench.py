@@ -172,6 +172,14 @@ def exact_min_cover(table: CoverageTable, rcc: float = 1.0, connected: bool = Fa
             return True
         return rcc < 1.0 and area >= target_area
 
+    def area_along(order: tuple[int, ...]) -> float:
+        # the same sums, in the same order, as the search's running areas
+        bits, area = 0, 0.0
+        for j in order:
+            area += mesh.area_of_bits(masks[j] & ~bits)
+            bits |= masks[j]
+        return area
+
     if done(0, 0.0):
         return Plan((), (), coverage_fraction(0.0, table), method)
     frontier: list[tuple[int, float, tuple[int, ...]]] = [(0, 0.0, ())]
@@ -186,10 +194,11 @@ def exact_min_cover(table: CoverageTable, rcc: float = 1.0, connected: bool = Fa
                 new_bits = bits | mask
                 if new_bits == bits or new_bits in seen:
                     continue
-                new_area = area + mesh.area_of_bits(new_bits & ~bits)
+                # at rcc 1 done() tests bits only, so no subset needs its area
+                new_area = area + mesh.area_of_bits(new_bits & ~bits) if rcc < 1.0 else 0.0
                 picked = chosen + (j,)
                 if done(new_bits, new_area):
-                    return Plan(picked, (), coverage_fraction(new_area, table), method)
+                    return Plan(picked, (), coverage_fraction(area_along(picked), table), method)
                 seen.add(new_bits)
                 grown.append((new_bits, new_area, picked))
         frontier = grown

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import ALGORITHMS, TrainConfig, TrainedModel, input_width, network_config
-from .mesh import Submesh, TriangleMesh
+from .mesh import Submesh, TriangleMesh, check_lambda
 from .network import ValueNetwork
 from .planner import Plan
 from .visibility import CoverageTable, ViewPoint
@@ -317,8 +317,12 @@ def load_model(path) -> TrainedModel:
         raise r.fail(8, f"unknown algorithm tag {algo_code}")
     algorithm = _CODE_ALGO[algo_code]
     n_views = r.u32()
+    if n_views < 1:
+        raise r.fail(9, "header has no views")
     n_actions = r.u32()
     hidden = r.u32()
+    if hidden < 1:
+        raise r.fail(17, "header has no hidden units")
     params_at = r.off
     params = r.array("<f8", hidden * (input_width(algorithm, n_views, n_actions) + 2) + 1)
     bad = np.flatnonzero(~np.isfinite(params))
@@ -334,6 +338,7 @@ def load_model(path) -> TrainedModel:
         if raw_cfg.pop("gamma", 1.0) != 1.0:
             raise ValueError("gamma must be 1.0: transitions are undiscounted")
         cfg = TrainConfig(**raw_cfg)
+        net_cfg = network_config(cfg, n_views)
     except (ValueError, KeyError, TypeError) as err:
         raise r.fail(cfg_at, f"bad embedded config: {err}") from err
     if cfg.algorithm != algorithm:
@@ -345,9 +350,13 @@ def load_model(path) -> TrainedModel:
     lengths = np.zeros(0, dtype=np.int32)
     if r.u8():
         count = r.u32()
+        lengths_at = r.off
         lengths = r.array("<i4", count)
+        bad = np.flatnonzero(lengths < 0)
+        if bad.size:
+            raise r.fail(lengths_at + 4 * int(bad[0]), "negative episode length")
     r.expect_end()
-    net = ValueNetwork(network_config(cfg, n_views), params)
+    net = ValueNetwork(net_cfg, params)
     return TrainedModel(net, cfg, lengths, mesh_digest, table_digest, n_views)
 
 
@@ -376,9 +385,19 @@ def load_plan(path) -> tuple[Plan, float | None]:
     if doc.get("version") != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {doc.get('version')!r}")
     try:
+        order, lambdas = doc["order"], doc["lambdas"]
+        if not isinstance(order, list) or not isinstance(lambdas, list):
+            raise TypeError("order and lambdas must be lists")
+        for i in order:
+            if type(i) is not int or i < 0:
+                raise ValueError(f"order entry {i!r} is not a view index")
+        for lam in lambdas:
+            if type(lam) not in (int, float):
+                raise ValueError(f"lambda entry {lam!r} is not a number")
+            check_lambda(lam)
         plan = Plan(
-            order=tuple(int(i) for i in doc["order"]),
-            lambdas=tuple(float(l) for l in doc["lambdas"]),
+            order=tuple(order),
+            lambdas=tuple(float(l) for l in lambdas),
             final_coverage_fraction=float(doc["coverage_fraction"]),
             method=str(doc["method"]),
             complete=bool(doc["complete"]),

@@ -7,7 +7,7 @@ views that add no new triangle are never taken.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .mesh import Submesh, check_lambda, score_value, union_coverage
@@ -31,24 +31,20 @@ class Plan:
     complete: bool = True
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class CoverageState:
     """Chosen views (bitset) plus the union of their coverage.
 
     `covered` holds every chosen view's coverage (`initial` and `add` keep it
-    so), so a chosen view never adds a triangle. A state keeps its pool's
-    unions (`pool_unions`) for the last table it was scored on: they do not
-    depend on lam.
+    so), so a chosen view never adds a triangle.
     """
 
     chosen: int
     covered: Submesh
-    step: int
-    _unions: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def initial(cls, table: CoverageTable) -> CoverageState:
-        return cls(0, Submesh.empty(table.mesh), 0)
+        return cls(0, Submesh.empty(table.mesh))
 
     def add(self, table: CoverageTable, view_idx: int) -> CoverageState:
         if not (0 <= view_idx < table.n_views):
@@ -56,7 +52,7 @@ class CoverageState:
         if (self.chosen >> view_idx) & 1:
             raise ValueError(f"view {view_idx} already chosen")
         covered = union_coverage(self.covered, table.coverage[view_idx])
-        return CoverageState(self.chosen | (1 << view_idx), covered, self.step + 1)
+        return CoverageState(self.chosen | (1 << view_idx), covered)
 
 
 def _check_pair(state: CoverageState, table: CoverageTable) -> None:
@@ -64,18 +60,21 @@ def _check_pair(state: CoverageState, table: CoverageTable) -> None:
         raise ValueError("state and table refer to different meshes")
 
 
-def pool_unions(state: CoverageState, table: CoverageTable) -> list[tuple[int, float, float]]:
-    """(view, area, boundary length) of the union of the covered region with
-    each view in the selection pool, views ascending, measured for the whole
-    pool in one array pass.
+def candidate_scores(state: CoverageState, table: CoverageTable,
+                     lam: float) -> list[tuple[int, float, float, float]]:
+    """(view, area, boundary length, score) of the union of the covered region
+    with each view in the selection pool, views ascending, measured for the
+    whole pool in one array pass.
 
     The pool holds the views that add at least one new triangle (so no chosen
     view) and overlap the covered region; the overlap requirement is waived
     when the covered region is empty, or when no such view overlaps it. Each
-    area and length equals `union_coverage(state.covered,
-    table.coverage[view])`'s. They depend on the covered region only, not on
-    lam or on which views were chosen.
+    area, length and score equals `union_coverage(state.covered,
+    table.coverage[view])`'s and its `score(..., lam)`. The pool, areas and
+    lengths depend on the covered region only, not on lam or on which views
+    were chosen.
     """
+    check_lambda(lam)
     _check_pair(state, table)
     patches = table.patches
     mask, inside = patches.overlap(state.covered)
@@ -83,18 +82,7 @@ def pool_unions(state: CoverageState, table: CoverageTable) -> list[tuple[int, f
     overlapping = gaining & (inside > 0)
     rows = (overlapping if overlapping.any() else gaining).nonzero()[0]
     area, length = patches.unions(state.covered, rows, mask, inside)
-    return list(zip(rows.tolist(), area, length))
-
-
-def candidate_scores(state: CoverageState, table: CoverageTable,
-                     lam: float) -> list[tuple[int, float, float, float]]:
-    """(view, area, boundary length, score) for each view of `pool_unions`;
-    each score equals `score(union_coverage(state.covered,
-    table.coverage[view]), lam)`."""
-    check_lambda(lam)
-    if state._unions is None or state._unions[0] is not table:
-        state._unions = (table, pool_unions(state, table))
-    return [(v, a, b, score_value(a, b, lam)) for v, a, b in state._unions[1]]
+    return [(v, a, b, score_value(a, b, lam)) for v, a, b in zip(rows.tolist(), area, length)]
 
 
 def next_best_view(state: CoverageState, table: CoverageTable, lam: float) -> int | None:
@@ -131,8 +119,13 @@ def coverage_fraction(area: float, table: CoverageTable) -> float:
     return float(area / achievable)
 
 
-def _run(table: CoverageTable, rcc: float, lam_at: Callable[[int], float], method: str,
-         start: int | None) -> Plan:
+def run_policy(table: CoverageTable, rcc: float,
+               lam_at: Callable[[CoverageState, int], float], method: str,
+               start: int | None = None) -> Plan:
+    """Plan by asking `lam_at(state, step)` for each selection's lam and
+    handing it to the selector, until the coverage target is reached. Steps
+    count from 1; a forced `start` view is step 1 and has no lam. The plan is
+    incomplete if the selector stalls first."""
     state = CoverageState.initial(table)
     order: list[int] = []
     lambdas: list[float] = []
@@ -140,7 +133,7 @@ def _run(table: CoverageTable, rcc: float, lam_at: Callable[[int], float], metho
         state = state.add(table, start)
         order.append(start)
     while not is_terminal(state, table, rcc):
-        lam = lam_at(len(order) + 1)
+        lam = lam_at(state, len(order) + 1)
         idx = next_best_view(state, table, lam)
         if idx is None:
             return Plan(tuple(order), tuple(lambdas), coverage_fraction(state.covered.area, table),
@@ -160,9 +153,10 @@ def run_fixed_lambda(table: CoverageTable, lam: float, rcc: float = 1.0,
     """
     check_lambda(lam)
     method = "greedy" if lam == 0.0 else "fixed-lambda"
-    return _run(table, rcc, lambda _step: lam, method, start)
+    return run_policy(table, rcc, lambda _state, _step: lam, method, start)
 
 
 def run_alternating(table: CoverageTable, rcc: float = 1.0) -> Plan:
     """Fixed schedule baseline: lam 0 on the first selection, then 1, 0, 1, ..."""
-    return _run(table, rcc, lambda step: 1.0 if step % 2 == 0 else 0.0, "alt-lambda", None)
+    return run_policy(table, rcc, lambda _state, step: 1.0 if step % 2 == 0 else 0.0,
+                      "alt-lambda")

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from viewplan import Submesh, TriangleMesh, icosphere, iter_bits, planar_grid, triangle_bits
+from viewplan import (Submesh, TriangleMesh, ViewPoint, icosphere, iter_bits, planar_grid,
+                      precompute_coverage, triangle_bits)
 
 
 @pytest.fixture(scope="session")
@@ -77,3 +80,12 @@ def boundary_pairs(x: Submesh) -> frozenset[tuple[int, int]]:
     """A submesh's boundary edge ids as vertex pairs (u, v) with u < v."""
     edges = x.mesh.edges.tolist()
     return frozenset(tuple(edges[e]) for e in iter_bits(x.boundary))
+
+
+def camera_ring_table():
+    """Icosphere ring table: non-dyadic areas and edge lengths, so the order
+    of every sum shows in its last bits."""
+    views = [ViewPoint.aimed((2.4 * math.cos(a), 2.4 * math.sin(a), 0.5 * math.sin(3 * a)),
+                             fov_y=math.radians(45))
+             for a in np.linspace(0.0, 2 * math.pi, 12, endpoint=False)]
+    return precompute_coverage(icosphere(3), views)

@@ -20,6 +20,8 @@ from viewplan import (
     train,
 )
 
+from conftest import camera_ring_table
+
 
 def strip_table(sets, cols=4):
     mesh = planar_grid(1, cols)
@@ -99,6 +101,29 @@ PINNED_RUNS = [
      "5050a3d04e08fdac96175ff594254e7bf75341004c857850c1e6c409b2783351", (4, 1),
      (0.0,)),
 ]
+
+# (algorithm, lam set, seed, {rcc: (plan order, plan lams)}) of
+# `plan_with_model` on `camera_ring_table` after 80 episodes, hidden 8,
+# epsilon 0.3 for the first 40, computed with the planning loop of commit
+# dcd068f. The ring's path-dependent areas are where a changed walk could
+# flip a near-tie; each run mixes lams, and each plan changes if the state
+# vector keeps only the first chosen view.
+RING_PLANS = [
+    ("sarsa", (0.0, 0.5, 1.0), 2,
+     {1.0: ((1, 10, 3, 7, 5, 9, 11), (1.0, 1.0, 0.5, 1.0, 1.0, 0.0)),
+      0.8: ((1, 10, 3, 7), (1.0, 1.0, 0.5))}),
+    ("watkins-q", (0.0, 1.0), 1,
+     {1.0: ((3, 0, 9, 6, 5, 7, 1, 11), (1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0)),
+      0.8: ((3, 0, 9, 6), (1.0, 1.0, 1.0))}),
+    ("td", (0.0, 0.5, 1.0), 4,
+     {1.0: ((5, 1, 3, 9, 7, 11), (0.0, 1.0, 0.0, 0.0, 0.0)),
+      0.8: ((5, 1, 3, 9), (0.0, 1.0, 0.0))}),
+]
+
+
+@pytest.fixture(scope="module")
+def ring_table():
+    return camera_ring_table()
 
 
 class TestTrainConfig:
@@ -344,6 +369,16 @@ class TestPlanWithModel:
         model = self.make_model(table)
         with pytest.warns(UserWarning):
             plan_with_model(model, other, 1.0)
+
+    @pytest.mark.parametrize("algo,lams,seed,plans", RING_PLANS)
+    def test_pinned_ring_plans(self, ring_table, algo, lams, seed, plans):
+        cfg = TrainConfig(algorithm=algo, lambda_set=lams, max_episodes=80, hidden=8,
+                          seed=seed, epsilon=0.3, epsilon_episodes=40)
+        model = train(ring_table, cfg)
+        for rcc, pinned in plans.items():
+            plan = plan_with_model(model, ring_table, rcc)
+            assert (plan.order, plan.lambdas) == pinned
+            assert plan.complete
 
     def test_view_count_mismatch_raises(self):
         table = strip_table(TRAP_SETS)

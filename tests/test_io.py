@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -359,6 +360,21 @@ class TestModelIO:
         assert back.config == model.config
         assert np.array_equal(back.network.params, model.network.params)
 
+    @pytest.mark.parametrize("n_views,hidden,message,at", [
+        (0, 4, "no views", 9),
+        (3, 0, "no hidden units", 17),
+    ])
+    def test_file_without_a_network_rejected(self, tmp_path, n_views, hidden, message, at):
+        # consistent throughout, so only building the network would fail
+        cfg = TrainConfig(algorithm="td", hidden=hidden)
+        network = SimpleNamespace(params=np.zeros(hidden * (n_views + 2) + 1))
+        p = tmp_path / "empty.wts"
+        save_model(p, TrainedModel(network, cfg, np.zeros(0, np.int32), "00" * 32, "00" * 32,
+                                   n_views))
+        with pytest.raises(FormatError, match=message) as err:
+            load_model(p)
+        assert str(err.value).endswith(f"(at byte {at})")
+
 
 MODEL_PARAMS_AT = 4 + 4 + 1 + 12  # magic, version, algorithm tag, three counts
 
@@ -402,8 +418,8 @@ def _put_at(field, delta, raw):
     return lambda d, c: _put(d, coverage_at(d, field) + delta, raw)
 
 
-# (file kind, damage(file bytes, config offset), message, offset, "config", or
-# a field name for `coverage_at`)
+# (file kind, damage(file bytes, config offset), message, offset: a number,
+# "config", a field name for `coverage_at`, or a function of the file bytes)
 DAMAGED_FILES = {
     "model-magic": ("model", lambda d, c: _put(d, 0, b"XXXX"), "bad magic", 0),
     "model-version": ("model", lambda d, c: _put(d, 4, struct.pack("<I", 2)), "version 2", 4),
@@ -423,6 +439,12 @@ DAMAGED_FILES = {
     "model-header-shape": (
         "model", lambda d, c: edit_config(d, c, lambda cfg: cfg.update(hidden=5)),
         "disagree on network shape", "config"),
+    "model-config-init-scale": (
+        "model", lambda d, c: edit_config(d, c, lambda cfg: cfg.update(init_scale=-0.1)),
+        "init_scale must be >= 0", "config"),
+    "model-negative-episode-length": (
+        "model", lambda d, c: _put(d, len(d) - 4, struct.pack("<i", -3)),
+        "negative episode length", lambda d: len(d) - 4),
     "coverage-magic": ("coverage", lambda d, c: _put(d, 0, b"NOPE"), "bad magic", 0),
     "coverage-version": ("coverage", lambda d, c: _put(d, 4, struct.pack("<I", 7)), "version 7", 4),
     # a flipped bit in the first vertex coordinate breaks the stored mesh digest
@@ -464,6 +486,8 @@ def test_loader_errors_name_the_byte_offset(tmp_path, case):
         at = cfg_at
     elif isinstance(at, str):
         at = coverage_at(data, at)
+    elif callable(at):
+        at = at(data)
     p = tmp_path / "damaged"
     p.write_bytes(damage(data, cfg_at))
     with pytest.raises(FormatError) as err:
@@ -499,6 +523,25 @@ class TestPlanIO:
             load_plan(p)
         p.write_text(json.dumps({"format": "viewplan-plan", "version": 1}))
         with pytest.raises(FormatError):
+            load_plan(p)
+
+    @pytest.mark.parametrize("field,entries,message", [
+        ("order", "[0, 1.5]", "order entry 1.5"),
+        ("order", "[true, 1]", "order entry True"),
+        ("order", "[2, -1]", "order entry -1"),
+        ("order", '"01"', "must be lists"),
+        ("lambdas", "[NaN]", "finite"),
+        ("lambdas", "[Infinity]", "finite"),
+        ("lambdas", "[-0.5]", "nonnegative"),
+        ("lambdas", "[false]", "lambda entry False"),
+    ])
+    def test_rejects_malformed_entries(self, tmp_path, field, entries, message):
+        p = tmp_path / "plan.json"
+        save_plan(p, Plan((3, 0, 2), (0.0, 1.0), 1.0, "fixed-lambda"))
+        doc = json.loads(p.read_text())
+        doc[field] = "@"
+        p.write_text(json.dumps(doc).replace('"@"', entries))
+        with pytest.raises(FormatError, match=message):
             load_plan(p)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from viewplan import (
 )
 from viewplan import mesh, planner
 
-from conftest import grown_patch, submesh_of, tri_neighbors
+from conftest import camera_ring_table, grown_patch, submesh_of, tri_neighbors
 
 
 def table_from_sets(mesh, sets):
@@ -114,7 +115,7 @@ class TestNextBestView:
 
     def test_mismatched_state_rejected(self, unit_square, ico1):
         table = table_from_sets(unit_square, [[0], [1]])
-        other = CoverageState(0, Submesh.empty(ico1), 0)
+        other = CoverageState(0, Submesh.empty(ico1))
         with pytest.raises(ValueError):
             next_best_view(other, table, 0.0)
 
@@ -191,9 +192,11 @@ class TestCoverageState:
         table = table_from_sets(unit_square, [[0], [1]])
         s0 = CoverageState.initial(table)
         s1 = s0.add(table, 0)
-        assert s0.chosen == 0 and s0.step == 0
-        assert s1.chosen == 1 and s1.step == 1
+        assert s0.chosen == 0 and s0.covered.bits == 0
+        assert s1.chosen == 1
         assert s1.covered.bits == table.coverage[0].bits
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s1.chosen = 0
 
 
 class TestRuns:
@@ -225,6 +228,20 @@ class TestRuns:
         plan = run_fixed_lambda(table, 0.0, start=1)
         assert plan.order[0] == 1
         assert len(plan.lambdas) == len(plan.order) - 1
+
+    def test_policy_sees_each_state_and_step(self):
+        table = generate_instance(SyntheticSpec("random_patches", 8, 8, 10, seed=1)).table
+        seen = []
+
+        def lam_at(state, step):
+            seen.append((state.chosen, step))
+            return 1.0 if step % 3 == 0 else 0.0
+
+        plan = planner.run_policy(table, 1.0, lam_at, "custom", start=4)
+        assert plan.method == "custom" and plan.order[0] == 4
+        prefixes = [sum(1 << v for v in plan.order[:k]) for k in range(1, len(plan.order))]
+        assert seen == list(zip(prefixes, range(2, len(plan.order) + 1)))
+        assert plan.lambdas == tuple(1.0 if step % 3 == 0 else 0.0 for _c, step in seen)
 
     def test_rcc_stops_early(self):
         grid = planar_grid(1, 4)
@@ -345,15 +362,6 @@ def assert_batched_matches_oracle(state, table, lams=(0.0, 0.5, 1.0, 2.0)):
         assert (a, b) == (u.area, u.boundary_length), v
 
 
-def camera_ring_table():
-    """Icosphere ring table: non-dyadic areas and edge lengths, so the order
-    of every sum shows in its last bits."""
-    views = [ViewPoint.aimed((2.4 * math.cos(a), 2.4 * math.sin(a), 0.5 * math.sin(3 * a)),
-                             fov_y=math.radians(45))
-             for a in np.linspace(0.0, 2 * math.pi, 12, endpoint=False)]
-    return precompute_coverage(icosphere(3), views)
-
-
 @pytest.fixture(scope="module")
 def large_grid_table():
     spec = SyntheticSpec("random_patches", 40, 40, 150, patch_min=2, patch_max=10, seed=0,
@@ -440,21 +448,6 @@ class TestBatchedScores:
         state = CoverageState.initial(table).add(table, 1)
         assert candidate_scores(state, table, 1.0) == []
         assert next_best_view(state, table, 1.0) is None
-
-    def test_unions_kept_across_lambdas(self, monkeypatch):
-        table = camera_ring_table()
-        state = CoverageState.initial(table).add(table, 0)
-        calls = []
-        real = planner.pool_unions
-        monkeypatch.setattr(planner, "pool_unions",
-                            lambda *args: calls.append(args) or real(*args))
-        scores = {lam: candidate_scores(state, table, lam) for lam in (0.0, 0.5, 2.0)}
-        assert len(calls) == 1
-        assert [x[:3] for x in scores[0.5]] == [x[:3] for x in scores[2.0]] == real(state, table)
-        other = CoverageTable.build(table.mesh, None, table.coverage[::-1])
-        assert candidate_scores(state, other, 0.5) == candidate_scores(
-            CoverageState(state.chosen, state.covered, state.step), other, 0.5)
-        assert len(calls) == 3
 
 
 class TestNonFiniteLambda:
