@@ -11,8 +11,7 @@ from .io import (CURVE_KEEP_ALL, CURVE_STRIDE, CurveRow, FormatError, MethodRow,
                  curve_rows, load_cameras, load_coverage, load_mesh, load_model,
                  load_plan, method_row, save_cameras, save_coverage, save_mesh,
                  save_model, save_plan, write_curve_csv, write_method_csv)
-from .mesh import (Submesh, TriangleMesh, brute_force_boundary, iter_bits, score,
-                   triangle_bits, union_coverage)
+from .mesh import Submesh, TriangleMesh, brute_force_boundary, score, union_coverage
 from .network import (NetworkConfig, ValueNetwork, apply_update, encode_input, forward,
                       gradient, init_network)
 from .planner import (CoverageState, Plan, candidate_scores, is_terminal, next_best_view,
@@ -30,11 +29,11 @@ __all__ = [
     "TrainConfig", "TrainedModel", "TriangleMesh", "ValueNetwork", "ViewPoint",
     "apply_update", "brute_force_boundary", "build_bvh", "candidate_scores", "curve_rows",
     "encode_input", "exact_min_cover", "forward", "generate_instance", "gradient",
-    "grid_square_triangles", "icosphere", "init_network", "is_terminal", "iter_bits",
+    "grid_square_triangles", "icosphere", "init_network", "is_terminal",
     "load_cameras", "load_coverage", "load_mesh", "load_model", "load_plan",
     "method_row", "next_best_view", "plan_with_model", "planar_grid",
     "precompute_coverage", "ray_triangle", "run_alternating", "run_fixed_lambda",
     "save_cameras", "save_coverage", "save_mesh", "save_model", "save_plan", "score",
-    "train", "triangle_bits", "union_coverage", "view_coverage",
+    "train", "union_coverage", "view_coverage",
     "write_curve_csv", "write_method_csv",
 ]

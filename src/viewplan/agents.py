@@ -11,7 +11,7 @@ advances, adds the bootstrap value, applies the update, and decays the trace.
 The agents differ in two places only:
 
 * The input. td estimates state values v(s); sarsa and watkins-q estimate
-  action values q(s, lam), with the lam index one-hot after the state bits.
+  action values q(s, lam), with the lam index one-hot after the state vector.
 * The bootstrap step. td evaluates every lam's successor state, moves to the
   best-valued one and bootstraps on its value. sarsa and watkins-q move with
   the current lam and bootstrap on the successor's greedy q. sarsa (on-policy,
@@ -26,13 +26,14 @@ views and successor states for the duration of the call.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .mesh import bit_mask, check_lambda
+from .mesh import check_lambda
 from .network import (NetworkConfig, ValueNetwork, apply_update, encode_input, forward,
                       gradient, init_network)
 from .planner import CoverageState, Plan, is_terminal, next_best_view, run_policy
@@ -75,8 +76,8 @@ class TrainConfig:
         if len(set(lams)) != len(lams):
             raise ValueError(f"lambda values must be distinct, got {lams}")
         object.__setattr__(self, "lambda_set", lams)
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (0.0 < self.alpha < math.inf):  # also false for NaN
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not (0.0 <= self.mu_e <= 1.0):
             raise ValueError(f"mu_e must be in [0, 1], got {self.mu_e}")
         if self.max_episodes < 1:
@@ -112,8 +113,8 @@ def _seed_children(seed: int):
 
 
 def input_width(algorithm: str, n_views: int, n_actions: int) -> int:
-    """Network input: the state bits, then a one-hot lam block for the
-    action-value agents (sarsa, watkins-q)."""
+    """Network input: the state vector (one entry per view), then a one-hot
+    lam block for the action-value agents (sarsa, watkins-q)."""
     return n_views if algorithm == "td" else n_views + n_actions
 
 
@@ -134,7 +135,7 @@ class _Transitions:
     views added in another order can differ in the last bit and flip a
     near-tie. Keys therefore hold the area. The selector's view depends on
     the covered region alone (chosen views are covered), so its key is the
-    covered bitset, area and lam.
+    covered triangle mask (as bytes), area and lam.
     """
 
     def __init__(self, table: CoverageTable):
@@ -144,7 +145,7 @@ class _Transitions:
         self._states: dict[tuple, CoverageState] = {}
 
     def view(self, state: CoverageState, lam: float) -> int | None:
-        key = (state.covered.bits, state.covered.area, lam)
+        key = (state.covered.mask.tobytes(), state.covered.area, lam)
         if key not in self._views:
             self._views[key] = next_best_view(state, self.table, lam)
         return self._views[key]
@@ -283,7 +284,7 @@ def plan_with_model(model: TrainedModel, table: CoverageTable, rcc: float) -> Pl
     net = model.network
 
     def state_vec(chosen: int) -> np.ndarray:
-        return bit_mask(chosen, n).astype(np.float64)
+        return np.array([(chosen >> i) & 1 for i in range(n)], dtype=np.float64)
 
     def start_value(view: int) -> float:
         vec = state_vec(1 << view)

@@ -66,16 +66,13 @@ class CertifiedInstance:
     connected_count: int | None
 
 
-def _rect_bits(rows: int, cols: int, r0: int, r1: int, c0: int, c1: int) -> int:
-    bits = 0
-    for r in range(r0, r1):
-        for c in range(c0, c1):
-            a, b = grid_square_triangles(rows, cols, r, c)
-            bits |= (1 << a) | (1 << b)
-    return bits
+def _rect(rows: int, cols: int, r0: int, r1: int, c0: int, c1: int) -> list[int]:
+    """Triangle indices of the grid squares in rows r0..r1-1, columns c0..c1-1."""
+    return [t for r in range(r0, r1) for c in range(c0, c1)
+            for t in grid_square_triangles(rows, cols, r, c)]
 
 
-def _random_patches(spec: SyntheticSpec, rng) -> list[int]:
+def _random_patches(spec: SyntheticSpec, rng) -> list[list[int]]:
     patches = []
     for _ in range(spec.views):
         h = int(rng.integers(spec.patch_min, spec.patch_max + 1))
@@ -84,11 +81,11 @@ def _random_patches(spec: SyntheticSpec, rng) -> list[int]:
         w = min(w, spec.cols)
         r0 = int(rng.integers(0, spec.rows - h + 1))
         c0 = int(rng.integers(0, spec.cols - w + 1))
-        patches.append(_rect_bits(spec.rows, spec.cols, r0, r0 + h, c0, c0 + w))
+        patches.append(_rect(spec.rows, spec.cols, r0, r0 + h, c0, c0 + w))
     return patches
 
 
-def _grid_trap(spec: SyntheticSpec, rng) -> list[int]:
+def _grid_trap(spec: SyntheticSpec, rng) -> list[list[int]]:
     rows, cols = spec.rows, spec.cols
     blocks = spec.views - 1
     overlap = int(rng.integers(1, 3))
@@ -117,8 +114,8 @@ def _grid_trap(spec: SyntheticSpec, rng) -> list[int]:
     h = int(rng.integers(h_min, min(h_min + 1, h_cap) + 1))
     r0 = int(rng.integers(1, rows - h))
 
-    patches = [_rect_bits(rows, cols, 0, rows, c0, c1) for c0, c1 in spans]
-    patches.append(_rect_bits(rows, cols, r0, r0 + h, 0, cols))
+    patches = [_rect(rows, cols, 0, rows, c0, c1) for c0, c1 in spans]
+    patches.append(_rect(rows, cols, r0, r0 + h, 0, cols))
     return patches
 
 
@@ -130,7 +127,7 @@ def generate_instance(spec: SyntheticSpec) -> CertifiedInstance:
         patches = _grid_trap(spec, rng)
     else:
         patches = _random_patches(spec, rng)
-    coverage = [Submesh.from_triangles(mesh, bits) for bits in patches]
+    coverage = [Submesh.from_triangles(mesh, patch) for patch in patches]
     table = CoverageTable.build(mesh, None, coverage)
     greedy = run_fixed_lambda(table, 0.0, rcc=1.0)
     oracle_count = None
@@ -152,23 +149,25 @@ def exact_min_cover(table: CoverageTable, rcc: float = 1.0, connected: bool = Fa
     """Provably minimum number of views reaching rcc of the achievable area.
 
     Breadth-first over subsets, one layer per subset size, pruning any covered
-    bitset already reached at the same or smaller size. With `connected`, every
-    view after the first must overlap the coverage so far (the minimum under
-    the planner's overlap rule); that variant can be infeasible, which raises.
+    set already reached at the same or smaller size. The search keys covered
+    sets by int bitsets of triangles, packed from the masks once per call.
+    With `connected`, every view after the first must overlap the coverage so
+    far (the minimum under the planner's overlap rule); that variant can be
+    infeasible, which raises.
     """
     n = table.n_views
     if n > _EXACT_LIMIT:
         raise ValueError(f"exact search is limited to {_EXACT_LIMIT} views, table has {n}")
     if not (0.0 <= rcc <= 1.0):
         raise ValueError(f"rcc must be in [0, 1], got {rcc}")
-    mesh = table.mesh
-    masks = [sm.bits for sm in table.coverage]
-    ach = table.achievable
-    target_area = rcc * ach.area
+    areas = table.mesh.triangle_area.tolist()
+    masks = [_pack(sm.mask) for sm in table.coverage]
+    ach_bits = _pack(table.achievable.mask)
+    target_area = rcc * table.achievable.area
     method = "exact-connected" if connected else "exact"
 
     def done(bits: int, area: float) -> bool:
-        if ach.bits & ~bits == 0:
+        if ach_bits & ~bits == 0:
             return True
         return rcc < 1.0 and area >= target_area
 
@@ -176,7 +175,7 @@ def exact_min_cover(table: CoverageTable, rcc: float = 1.0, connected: bool = Fa
         # the same sums, in the same order, as the search's running areas
         bits, area = 0, 0.0
         for j in order:
-            area += mesh.area_of_bits(masks[j] & ~bits)
+            area += _area_of_bits(areas, masks[j] & ~bits)
             bits |= masks[j]
         return area
 
@@ -195,7 +194,7 @@ def exact_min_cover(table: CoverageTable, rcc: float = 1.0, connected: bool = Fa
                 if new_bits == bits or new_bits in seen:
                     continue
                 # at rcc 1 done() tests bits only, so no subset needs its area
-                new_area = area + mesh.area_of_bits(new_bits & ~bits) if rcc < 1.0 else 0.0
+                new_area = area + _area_of_bits(areas, new_bits & ~bits) if rcc < 1.0 else 0.0
                 picked = chosen + (j,)
                 if done(new_bits, new_area):
                     return Plan(picked, (), coverage_fraction(area_along(picked), table), method)
@@ -205,3 +204,19 @@ def exact_min_cover(table: CoverageTable, rcc: float = 1.0, connected: bool = Fa
         if not frontier:
             break
     raise ValueError("no admissible subset reaches the coverage target")
+
+
+def _pack(mask: np.ndarray) -> int:
+    """The int with bit i set where mask[i] is true."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _area_of_bits(areas: list[float], bits: int) -> float:
+    """areas[i] over the set bits i, added one at a time in ascending order,
+    as `Submesh` sums the areas of the triangles it adds."""
+    total = 0.0
+    while bits:
+        low = bits & -bits
+        total += areas[low.bit_length() - 1]
+        bits ^= low
+    return total

@@ -26,6 +26,11 @@ COVERAGE_MAGIC = b"VPCV"
 WEIGHTS_MAGIC = b"VPNW"
 FORMAT_VERSION = 1
 
+# A plan's covered area and the achievable area sum the same triangles in
+# different orders, so a full plan's fraction can be a few ulps above 1
+# (1.0000000000000004 on the five-sphere scene).
+_FRACTION_SLACK = 1e-9
+
 _ALGO_CODE = {name: i for i, name in enumerate(ALGORITHMS)}
 _CODE_ALGO = {i: name for name, i in _ALGO_CODE.items()}
 
@@ -203,7 +208,7 @@ def save_coverage(path, table: CoverageTable, cert: tuple | None = None) -> None
     out += struct.pack("<d", mesh.normalization_scale)
     out += struct.pack("<I", table.n_views)
     for sm in table.coverage:
-        idx = np.fromiter(sm.triangle_indices(), dtype="<u4", count=sm.count)
+        idx = sm.triangle_indices().astype("<u4")
         out += struct.pack("<I", len(idx))
         out += idx.tobytes()
     if table.views is None:
@@ -262,7 +267,7 @@ def load_coverage(path) -> tuple[CoverageTable, tuple | None]:
             j = int(np.argmax(bad))
             why = f"out of range (mesh has {n_tris})" if idx[j] >= n_tris else "not ascending"
             raise r.fail(idx_at + 4 * j, f"view {i}: triangle index {idx[j]} is {why}")
-        coverage.append(Submesh.from_triangles(mesh, idx.tolist()))
+        coverage.append(Submesh.from_triangles(mesh, idx))
     views = None
     if r.u8():
         views = []
@@ -391,16 +396,23 @@ def load_plan(path) -> tuple[Plan, float | None]:
         for i in order:
             if type(i) is not int or i < 0:
                 raise ValueError(f"order entry {i!r} is not a view index")
+        if len(set(order)) != len(order):
+            raise ValueError(f"order {order} repeats a view")
         for lam in lambdas:
             if type(lam) not in (int, float):
                 raise ValueError(f"lambda entry {lam!r} is not a number")
             check_lambda(lam)
+        fraction, complete = doc["coverage_fraction"], doc["complete"]
+        if type(fraction) not in (int, float) or not (0.0 <= fraction <= 1.0 + _FRACTION_SLACK):
+            raise ValueError(f"coverage_fraction {fraction!r} is not a number in [0, 1]")
+        if type(complete) is not bool:
+            raise ValueError(f"complete {complete!r} is not true or false")
         plan = Plan(
             order=tuple(order),
             lambdas=tuple(float(l) for l in lambdas),
-            final_coverage_fraction=float(doc["coverage_fraction"]),
+            final_coverage_fraction=float(fraction),
             method=str(doc["method"]),
-            complete=bool(doc["complete"]),
+            complete=complete,
         )
     except (KeyError, TypeError, ValueError) as err:
         raise FormatError(f"{path}: bad plan record: {err}") from err

@@ -1,15 +1,14 @@
 """Indexed triangle meshes and coverage submeshes.
 
 A mesh has one undirected edge table: `edges` (u < v), `tri_edges` (three edge
-ids per triangle) and `edge_length`. A submesh is a triangle bitset with a
-cached area and boundary. On these manifold meshes an edge is on the boundary
-exactly when an odd number of its incident triangles are in the set, so the
-boundary is an edge-id bitset that the added triangles toggle, three edges
-each, and unions only touch the triangles they add. The bookkeeping runs on
-numpy arrays: bitsets are unpacked to masks, each new triangle toggles its
-edges with `np.logical_xor.at`, and areas and boundary lengths are summed one
-value at a time in ascending index order (`sequential_sum`), as the reference
-loop `area_of_bits` adds them.
+ids per triangle) and `edge_length`. A submesh is a read-only bool mask over
+the triangles with a cached area and boundary. On these manifold meshes an edge
+is on the boundary exactly when an odd number of its incident triangles are in
+the set, so the boundary is a bool mask over the edge ids that the added
+triangles toggle, three edges each (`np.logical_xor.at`), and unions only touch
+the triangles they add. Areas and boundary lengths are summed one value at a
+time in ascending index order (`sequential_sum`), so a sum does not depend on
+how the submesh was built.
 `PatchArrays` measures the union of one submesh with each of many patches in
 one array pass. `brute_force_boundary` counts incidences from scratch as the
 cross-check of this parity rule.
@@ -18,62 +17,18 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 _CHUNK_ROWS = 32  # patches measured per array pass in `PatchArrays.unions`
 
 
-def iter_bits(bits: int) -> Iterator[int]:
-    """Iterate over the indices of set bits, ascending.
-
-    A bitset of a few machine words is peeled one bit at a time; a longer one
-    is unpacked with numpy, whose fixed cost is then the smaller one.
-    """
-    if bits < 0:
-        raise ValueError(f"a bitset is a nonnegative int, got {bits}")
-    if bits.bit_length() <= 256:
-        return _peel_bits(bits)
-    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return iter(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
-
-
-def _peel_bits(bits: int) -> Iterator[int]:
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
-def triangle_bits(indices: Iterable[int], n_triangles: int | None = None) -> int:
-    """Bitset of the given indices. With `n_triangles`, an index outside
-    [0, n_triangles) raises ValueError before its bit is built, so a huge
-    index costs nothing."""
-    bits = 0
-    for i in indices:
-        if n_triangles is not None and not 0 <= i < n_triangles:
-            raise ValueError(f"triangle index {i} out of range for {n_triangles} triangles")
-        bits |= 1 << i
-    return bits
-
-
-def bit_mask(bits: int, n: int) -> np.ndarray:
-    """A bitset below 2**n as a fresh bool array of length n (bit i is element i)."""
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
-
-
-def mask_bits(mask: np.ndarray) -> int:
-    """The bitset of a bool array; inverse of `bit_mask`."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
 def sequential_sum(values: np.ndarray) -> float:
     """values[0] + values[1] + ..., added one at a time from 0.0.
 
     `np.cumsum` adds strictly in order; `np.sum` adds pairwise, which can
-    round differently in the last bits.
+    round differently in the last place.
     """
     return float(values.cumsum()[-1]) if len(values) else 0.0
 
@@ -150,10 +105,6 @@ class TriangleMesh:
             raise ValueError(f"triangle {int(np.argmin(measured))} overflows float64; "
                              "vertex coordinates are too large")
 
-        # plain-Python copies for the reference loops (area_of_bits, brute_force_boundary)
-        self._tri_rows = triangles.tolist()
-        self._area_list = self.triangle_area.tolist()
-        self._full_bits = (1 << len(triangles)) - 1
         self._digest: str | None = None
 
         for arr in (self.vertices, self.triangles, self.triangle_area, self.triangle_normal,
@@ -171,10 +122,6 @@ class TriangleMesh:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def full_bits(self) -> int:
-        return self._full_bits
 
     @property
     def bbox_diagonal(self) -> float:
@@ -203,27 +150,44 @@ class TriangleMesh:
             self._digest = h.hexdigest()
         return self._digest
 
-    def area_of_bits(self, bits: int) -> float:
-        """Sum of triangle areas, added in ascending triangle order."""
-        return _sum_in_order(self._area_list, bits)
+def _triangle_indices(triangles, n_triangles: int) -> np.ndarray:
+    """Triangle indices as an int64 array, each checked to lie in
+    [0, n_triangles) before any mask is built from them.
 
-    def _check_bits(self, bits: int) -> None:
-        if bits < 0 or bits >> self.n_triangles:
-            raise ValueError("triangle bitset out of range for this mesh")
+    Only integer indices are accepted: a bare int (which numpy would read as
+    one index), bools and non-integer values raise TypeError.
+    """
+    if isinstance(triangles, (int, np.integer)):
+        raise TypeError(f"triangles must be a sequence of indices, not the int {triangles}")
+    if isinstance(triangles, np.ndarray) and triangles.dtype != object:
+        if triangles.dtype.kind not in "iu" or triangles.ndim != 1:
+            raise TypeError("triangles must be a 1-D integer array, "
+                            f"got {triangles.ndim}-D {triangles.dtype}")
+        bad = (triangles < 0) | (triangles >= n_triangles)
+        if bad.any():
+            raise ValueError(f"triangle index {triangles[bad.argmax()]} out of range "
+                             f"for {n_triangles} triangles")
+        return triangles.astype(np.int64, copy=False)
+    triangles = list(triangles)
+    for i in triangles:
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+            raise TypeError(f"triangle index {i!r} is not an integer")
+        if not 0 <= i < n_triangles:
+            raise ValueError(f"triangle index {i} out of range for {n_triangles} triangles")
+    return np.array(triangles, dtype=np.int64)
 
 
-def brute_force_boundary(mesh: TriangleMesh, bits: int) -> frozenset[tuple[int, int]]:
-    """Boundary edges (u, v), u < v, of a triangle set by per-edge incidence counting.
+def brute_force_boundary(mesh: TriangleMesh, triangles) -> frozenset[tuple[int, int]]:
+    """Boundary edges (u, v), u < v, of a set of triangle indices by per-edge
+    incidence counting.
 
     An edge is on the boundary iff exactly one in-set triangle is incident to
     it. Reference implementation that shares nothing with the edge table;
     tests hold submesh boundaries against it.
     """
-    mesh._check_bits(bits)
+    idx = np.unique(_triangle_indices(triangles, mesh.n_triangles))
     tally: dict[tuple[int, int], int] = {}
-    rows = mesh._tri_rows
-    for t in iter_bits(bits):
-        a, b, c = rows[t]
+    for a, b, c in mesh.triangles[idx].tolist():
         for u, v in ((a, b), (b, c), (c, a)):
             key = (u, v) if u < v else (v, u)
             tally[key] = tally.get(key, 0) + 1
@@ -233,85 +197,83 @@ def brute_force_boundary(mesh: TriangleMesh, bits: int) -> frozenset[tuple[int, 
 class Submesh:
     """Triangle subset with cached area and boundary. Immutable.
 
-    `bits` is the triangle bitset and `boundary` the bitset of boundary edge
-    ids (indices into `mesh.edges`).
+    `mask` is a read-only bool array over the mesh's triangles, true for the
+    triangles in the subset, and `boundary` a read-only bool array over the
+    mesh's edges (`mesh.edges`), true for the boundary edges. `count` is the
+    number of triangles.
     """
 
-    __slots__ = ("mesh", "bits", "boundary", "area", "boundary_length")
+    __slots__ = ("mesh", "mask", "boundary", "area", "boundary_length", "count")
 
-    def __init__(self, mesh, bits, boundary, area, boundary_length):
+    def __init__(self, mesh, mask, boundary, area, boundary_length, count):
+        mask.setflags(write=False)
+        boundary.setflags(write=False)
         self.mesh = mesh
-        self.bits = bits
+        self.mask = mask
         self.boundary = boundary
         self.area = area
         self.boundary_length = boundary_length
+        self.count = count
 
     @classmethod
     def empty(cls, mesh: TriangleMesh) -> Submesh:
-        return cls(mesh, 0, 0, 0.0, 0.0)
+        return cls(mesh, np.zeros(mesh.n_triangles, dtype=bool),
+                   np.zeros(mesh.n_edges, dtype=bool), 0.0, 0.0, 0)
 
     @classmethod
     def from_triangles(cls, mesh: TriangleMesh, triangles) -> Submesh:
-        """Build from a bitset or an iterable of triangle indices."""
-        if isinstance(triangles, int):
-            bits = triangles
-            mesh._check_bits(bits)
-        else:
-            bits = triangle_bits(triangles, mesh.n_triangles)
-        return _extend(cls.empty(mesh), bits)
+        """Build from a sequence or 1-D integer array of triangle indices;
+        repeats count once."""
+        # a mask, not np.unique: np.unique of an integer array raises peak
+        # memory by about 1.7 MB on its first call
+        mask = np.zeros(mesh.n_triangles, dtype=bool)
+        mask[_triangle_indices(triangles, mesh.n_triangles)] = True
+        return _extend(cls.empty(mesh), mask.nonzero()[0])
 
-    @property
-    def count(self) -> int:
-        return self.bits.bit_count()
-
-    def triangle_indices(self) -> Iterator[int]:
-        return iter_bits(self.bits)
+    def triangle_indices(self) -> np.ndarray:
+        """The triangles' indices, ascending."""
+        return self.mask.nonzero()[0]
 
     def __eq__(self, other):
         if not isinstance(other, Submesh):
             return NotImplemented
-        return self.mesh is other.mesh and self.bits == other.bits
+        return self.mesh is other.mesh and np.array_equal(self.mask, other.mask)
 
     def __hash__(self):
-        return hash((id(self.mesh), self.bits))
+        return hash((id(self.mesh), self.mask.tobytes()))
 
     def __repr__(self):
         return f"Submesh({self.count} tris, area={self.area:.6g}, boundary_length={self.boundary_length:.6g})"
 
 
-def _extend(x: Submesh, new_bits: int) -> Submesh:
-    """`x` plus the triangles of `new_bits`, none of which may be in `x`.
+def _extend(x: Submesh, new: np.ndarray) -> Submesh:
+    """`x` plus the triangles `new`, ascending, none of which may be in `x`.
 
-    The new areas are summed on their own in ascending triangle order (as in
-    `area_of_bits`) before they are added to `x.area`; each new triangle
-    toggles its three edges in the boundary.
+    The new areas are summed on their own in ascending triangle order before
+    they are added to `x.area`; each new triangle toggles its three edges in
+    the boundary.
     """
     mesh = x.mesh
-    new = bit_mask(new_bits, mesh.n_triangles).nonzero()[0]
-    boundary = bit_mask(x.boundary, mesh.n_edges)
+    mask = x.mask.copy()
+    mask[new] = True
+    boundary = x.boundary.copy()
     np.logical_xor.at(boundary, mesh.tri_edges.take(new, axis=0), True)
-    return Submesh(mesh, x.bits | new_bits, mask_bits(boundary),
+    return Submesh(mesh, mask, boundary,
                    x.area + sequential_sum(mesh.triangle_area.take(new)),
-                   sequential_sum(mesh.edge_length[boundary]))
-
-
-def _sum_in_order(values: list[float], bits: int) -> float:
-    """`values[i]` over the set bits i, added one at a time in ascending order."""
-    total = 0.0
-    for i in iter_bits(bits):
-        total += values[i]
-    return total
+                   sequential_sum(mesh.edge_length[boundary]), x.count + len(new))
 
 
 def union_coverage(x1: Submesh, x2: Submesh) -> Submesh:
-    """Union of two submeshes with incrementally maintained area and boundary."""
+    """Union of two submeshes with incrementally maintained area and boundary.
+    A submesh holding the other is returned as it is."""
     if x1.mesh is not x2.mesh:
         raise ValueError("submeshes belong to different meshes")
-    if x2.bits | x1.bits == x1.bits:
+    new = (x2.mask > x1.mask).nonzero()[0]
+    if len(new) == 0:
         return x1
-    if x1.bits | x2.bits == x2.bits:
+    if x1.count + len(new) == x2.count:  # the union is x2 itself
         return x2
-    return _extend(x1, x2.bits & ~x1.bits)
+    return _extend(x1, new)
 
 
 def check_lambda(lam: float) -> None:
@@ -328,7 +290,7 @@ def score(x: Submesh, lam: float) -> float:
     to pay for.
     """
     check_lambda(lam)
-    if x.bits == 0:
+    if x.count == 0:
         raise ValueError("score is undefined for an empty submesh")
     return score_value(x.area, x.boundary_length, lam)
 
@@ -345,7 +307,9 @@ class PatchArrays:
     patch, so that the union of one covered submesh with each of many patches
     is measured in one array pass.
 
-    Row i lists patch i's triangles ascending, and the three edges of each as
+    The rows are read off the patches' triangle masks once. A call reads the
+    covered submesh's triangle mask at each row entry and its boundary edge
+    mask as a list of edge ids. Row i lists patch i's triangles ascending, and the three edges of each as
     slots sorted by edge id. Rows are padded to a common width with a padding
     triangle (index n_triangles, zero area, never covered) whose edges are a
     padding edge (index n_edges, zero length). Each union's area and boundary
@@ -375,10 +339,8 @@ class PatchArrays:
         for start in range(0, len(patches), _CHUNK_ROWS):
             chunk = patches[start:start + _CHUNK_ROWS]
             rows = slice(start, start + len(chunk))
-            raw = b"".join(p.bits.to_bytes((n_tri + 7) // 8, "little") for p in chunk)
-            raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(chunk), -1)
-            entry = np.unpackbits(raw, axis=1, count=n_tri, bitorder="little").view(bool)
-            entry = entry.ravel().nonzero()[0]  # row * n_triangles + triangle, ascending
+            # row * n_triangles + triangle, ascending
+            entry = np.concatenate([p.mask for p in chunk]).nonzero()[0]
             size = self.size[rows]
             column = np.arange(len(entry)) - np.repeat(np.cumsum(size) - size, size)
             triangle = self._index[rows, :width]
@@ -398,7 +360,7 @@ class PatchArrays:
     def overlap(self, covered: Submesh) -> tuple[np.ndarray, np.ndarray]:
         """(mask, inside): the covered-triangle mask that `unions` takes, and
         how many of each patch's triangles are covered."""
-        mask = bit_mask(covered.bits, self.mesh.n_triangles + 1)
+        mask = np.append(covered.mask, False)  # the padding triangle is never covered
         return mask, mask[self._triangle].sum(axis=1)
 
     def unions(self, covered: Submesh, rows: np.ndarray, mask: np.ndarray,
@@ -406,7 +368,7 @@ class PatchArrays:
         """(area, boundary_length) of `covered` united with each patch in
         `rows`, where (mask, inside) is `overlap(covered)`. Each patch must
         add a triangle to `covered`."""
-        edges = 2 * bit_mask(covered.boundary, self.mesh.n_edges).nonzero()[0]
+        edges = 2 * covered.boundary.nonzero()[0]
         area: list[float] = []
         length: list[float] = []
         for start in range(0, len(rows), _CHUNK_ROWS):

@@ -8,6 +8,7 @@ accumulation and parameter updates are single elementwise numpy operations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class NetworkConfig:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        if self.init_scale < 0.0:
-            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
+        if not (0.0 <= self.init_scale < math.inf):  # also false for NaN
+            raise ValueError(f"init_scale must be >= 0 and finite, got {self.init_scale}")
 
     @property
     def n_params(self) -> int:

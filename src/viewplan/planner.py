@@ -33,10 +33,11 @@ class Plan:
 
 @dataclass(frozen=True)
 class CoverageState:
-    """Chosen views (bitset) plus the union of their coverage.
+    """The chosen views plus the union of their coverage.
 
-    `covered` holds every chosen view's coverage (`initial` and `add` keep it
-    so), so a chosen view never adds a triangle.
+    `chosen` is an int with bit i set when view i is chosen. `covered` holds
+    every chosen view's coverage (`initial` and `add` keep it so), so a chosen
+    view never adds a triangle.
     """
 
     chosen: int
@@ -103,11 +104,13 @@ def is_terminal(state: CoverageState, table: CoverageTable, rcc: float) -> bool:
     _check_pair(state, table)
     if not (0.0 <= rcc <= 1.0):
         raise ValueError(f"rcc must be in [0, 1], got {rcc}")
-    # bit test first: full coverage must terminate even if incremental area
-    # sums drift in the last ulp
-    if table.achievable.bits & ~state.covered.bits == 0:
+    # set test first: full coverage must terminate even if incremental area
+    # sums drift in the last ulp. Covered triangles are achievable, so the
+    # mask test runs only once the counts are equal.
+    covered, achievable = state.covered, table.achievable
+    if covered.count >= achievable.count and not (achievable.mask > covered.mask).any():
         return True
-    return state.covered.area >= rcc * table.achievable.area
+    return covered.area >= rcc * achievable.area
 
 
 def coverage_fraction(area: float, table: CoverageTable) -> float:

@@ -121,7 +121,7 @@ def view_coverage(mesh: TriangleMesh, bvh: Bvh, view: ViewPoint) -> Submesh:
     ray = dist >= eps  # a centroid closer to the camera than eps is covered
     blocked = np.zeros(len(candidates), dtype=bool)
     blocked[ray] = bvh.occluded(origins[ray], to_cam[ray] / dist[ray, None], eps, dist[ray])
-    return Submesh.from_triangles(mesh, candidates[~blocked].tolist())
+    return Submesh.from_triangles(mesh, candidates[~blocked])
 
 
 @dataclass(eq=False)
@@ -159,7 +159,7 @@ class CoverageTable:
         h.update(b"viewplan-table-v1")
         h.update(bytes.fromhex(mesh.digest))
         for sm in coverage:
-            idx = np.fromiter(sm.triangle_indices(), dtype="<u4", count=sm.count)
+            idx = sm.triangle_indices().astype("<u4")
             h.update(np.uint32(len(idx)).tobytes())
             h.update(idx.tobytes())
         return cls(mesh, views, coverage, achievable, mesh.digest, h.hexdigest())

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from viewplan import (Submesh, TriangleMesh, ViewPoint, icosphere, iter_bits, planar_grid,
-                      precompute_coverage, triangle_bits)
+from viewplan import (Submesh, TriangleMesh, ViewPoint, icosphere, planar_grid,
+                      precompute_coverage)
 
 
 @pytest.fixture(scope="session")
@@ -47,8 +47,9 @@ def tri_neighbors(mesh: TriangleMesh) -> list[list[int]]:
 
 
 def grown_patch(mesh: TriangleMesh, rng: np.random.Generator, size: int,
-                neighbors=None) -> int:
-    """Bitset of a connected patch grown from a random seed triangle."""
+                neighbors=None) -> list[int]:
+    """Triangle indices, ascending, of a connected patch grown from a random
+    seed triangle."""
     if neighbors is None:
         neighbors = tri_neighbors(mesh)
     seed = int(rng.integers(mesh.n_triangles))
@@ -62,24 +63,34 @@ def grown_patch(mesh: TriangleMesh, rng: np.random.Generator, size: int,
                 frontier.append(n)
                 if len(chosen) >= size:
                     break
-    return triangle_bits(chosen)
+    return sorted(chosen)
 
 
-def random_bits(mesh: TriangleMesh, rng: np.random.Generator, density: float) -> int:
+def random_triangles(mesh: TriangleMesh, rng: np.random.Generator, density: float) -> list[int]:
+    """A nonempty random set of triangle indices, ascending."""
     mask = rng.random(mesh.n_triangles) < density
     if not mask.any():
         mask[int(rng.integers(mesh.n_triangles))] = True
-    return triangle_bits(np.nonzero(mask)[0].tolist())
+    return np.nonzero(mask)[0].tolist()
 
 
-def submesh_of(mesh: TriangleMesh, bits: int) -> Submesh:
-    return Submesh.from_triangles(mesh, bits)
+def submesh_of(mesh: TriangleMesh, triangles) -> Submesh:
+    return Submesh.from_triangles(mesh, triangles)
 
 
 def boundary_pairs(x: Submesh) -> frozenset[tuple[int, int]]:
     """A submesh's boundary edge ids as vertex pairs (u, v) with u < v."""
     edges = x.mesh.edges.tolist()
-    return frozenset(tuple(edges[e]) for e in iter_bits(x.boundary))
+    return frozenset(tuple(edges[e]) for e in x.boundary.nonzero()[0].tolist())
+
+
+def ordered_area(mesh: TriangleMesh, triangles) -> float:
+    """Reference area: the triangles' areas added one at a time in ascending
+    index order."""
+    total = 0.0
+    for t in sorted(set(triangles)):
+        total += float(mesh.triangle_area[t])
+    return total
 
 
 def camera_ring_table():

@@ -34,7 +34,7 @@ from viewplan import (
     union_coverage,
 )
 
-from conftest import boundary_pairs, grown_patch, random_bits, submesh_of, tri_neighbors
+from conftest import boundary_pairs, grown_patch, random_triangles, submesh_of, tri_neighbors
 
 ALGOS = ("sarsa", "watkins-q", "td")
 
@@ -86,13 +86,13 @@ def test_union_boundary_matches_brute_force_on_random_pairs(ico3, capsys):
     with reported(capsys, 1, {}) as out:
         for k in range(500):
             if k % 2:
-                a = random_bits(ico3, rng, float(rng.uniform(0.05, 0.6)))
-                b = random_bits(ico3, rng, float(rng.uniform(0.05, 0.6)))
+                a = random_triangles(ico3, rng, float(rng.uniform(0.05, 0.6)))
+                b = random_triangles(ico3, rng, float(rng.uniform(0.05, 0.6)))
             else:
                 a = grown_patch(ico3, rng, int(rng.integers(1, 400)), neighbors)
                 b = grown_patch(ico3, rng, int(rng.integers(1, 400)), neighbors)
             got = union_coverage(submesh_of(ico3, a), submesh_of(ico3, b))
-            assert boundary_pairs(got) == brute_force_boundary(ico3, a | b)
+            assert boundary_pairs(got) == brute_force_boundary(ico3, a + b)
             checked += 1
         elapsed = time.perf_counter() - t0
         assert checked == 500
@@ -314,10 +314,10 @@ def test_coverage_threshold_stops_at_first_crossing(trap, capsys):
     with reported(capsys, 8, {}) as out:
         # full requirement reproduces the achievable set exactly
         plan = run_fixed_lambda(trap.table, 0.0, rcc=1.0)
-        bits = 0
+        covered = np.zeros(trap.table.mesh.n_triangles, dtype=bool)
         for i in plan.order:
-            bits |= trap.table.coverage[i].bits
-        assert bits == trap.table.achievable.bits
+            covered |= trap.table.coverage[i].mask
+        assert np.array_equal(covered, trap.table.achievable.mask)
 
         # 199 of 200 squares in view 0: fraction 0.995 crosses a 0.99 cutoff
         # on the very first selection, so view 1 must never be picked

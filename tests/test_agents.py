@@ -149,6 +149,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(algorithm="td", lambda_set=(bad, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, bad):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            TrainConfig(algorithm="td", alpha=bad)
+
     def test_scalar_ranges(self):
         with pytest.raises(ValueError):
             TrainConfig(algorithm="td", alpha=0.0)

@@ -15,16 +15,18 @@ from viewplan import (
 )
 
 
-def brute_min_cover(table):
-    """Smallest k over all view combinations whose union is the achievable set."""
-    masks = [sm.bits for sm in table.coverage]
-    ach = table.achievable.bits
-    for k in range(len(masks) + 1):
-        for combo in itertools.combinations(range(len(masks)), k):
-            u = 0
-            for j in combo:
-                u |= masks[j]
-            if ach & ~u == 0:
+def brute_min_cover(table, rcc=1.0):
+    """Smallest k over all view combinations whose union is the achievable set
+    or, below rcc 1, has at least rcc of its area (the union's triangle areas
+    added in ascending order)."""
+    sets = [set(sm.triangle_indices().tolist()) for sm in table.coverage]
+    ach = set(table.achievable.triangle_indices().tolist())
+    area = table.mesh.triangle_area.tolist()
+    target = rcc * table.achievable.area
+    for k in range(len(sets) + 1):
+        for combo in itertools.combinations(range(len(sets)), k):
+            u = set().union(*(sets[j] for j in combo))
+            if u == ach or (rcc < 1.0 and sum(area[t] for t in sorted(u)) >= target):
                 return k
     raise AssertionError("unreachable: all views together are the achievable set")
 
@@ -90,10 +92,10 @@ class TestGridTrap:
 
     def test_blocks_jointly_cover(self):
         inst = generate_instance(SyntheticSpec("grid_trap", 6, 10, 3, seed=1))
-        bits = 0
+        covered = set()
         for sm in inst.table.coverage[:-1]:
-            bits |= sm.bits
-        assert bits == inst.table.mesh.full_bits
+            covered |= set(sm.triangle_indices().tolist())
+        assert covered == set(range(inst.table.mesh.n_triangles))
 
     def test_impossible_geometry_raises(self):
         with pytest.raises(ValueError):
@@ -188,6 +190,17 @@ class TestExactMinCover:
 
 
 @settings(max_examples=40, deadline=None)
+@given(views=st.integers(1, 8), pmax=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
+       rcc=st.sampled_from([0.5, 0.8, 0.95]))
+def test_exact_partial_cover_matches_exhaustive_search(views, pmax, seed, rcc):
+    # grid triangles all have area 0.5, so every area sum is exact and no
+    # float tie can flip the count
+    spec = SyntheticSpec("random_patches", 6, 6, views, patch_max=pmax, seed=seed, certify=False)
+    table = generate_instance(spec).table
+    assert len(exact_min_cover(table, rcc).order) == brute_min_cover(table, rcc)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     rows=st.integers(1, 6),
     cols=st.integers(1, 6),
@@ -203,7 +216,7 @@ def test_random_patches_certificates_hold(rows, cols, views, pmax, seed):
     assert inst.greedy_count >= inst.oracle_count
     if inst.connected_count is not None:
         assert inst.connected_count >= inst.oracle_count
-    bits = 0
+    covered = np.zeros(inst.table.mesh.n_triangles, dtype=bool)
     for sm in inst.table.coverage:
-        bits |= sm.bits
-    assert inst.table.achievable.bits == bits
+        covered |= sm.mask
+    assert np.array_equal(inst.table.achievable.mask, covered)

@@ -225,7 +225,8 @@ class TestCoverageIO:
         table, cert = load_coverage(p)
         assert table.digest == inst.table.digest
         assert table.mesh_digest == inst.table.mesh_digest
-        assert [sm.bits for sm in table.coverage] == [sm.bits for sm in inst.table.coverage]
+        assert [sm.triangle_indices().tolist() for sm in table.coverage] == \
+               [sm.triangle_indices().tolist() for sm in inst.table.coverage]
         assert table.views is None
         assert cert == (2, 3, None)
 
@@ -442,6 +443,12 @@ DAMAGED_FILES = {
     "model-config-init-scale": (
         "model", lambda d, c: edit_config(d, c, lambda cfg: cfg.update(init_scale=-0.1)),
         "init_scale must be >= 0", "config"),
+    "model-config-alpha-nan": (
+        "model", lambda d, c: edit_config(d, c, lambda cfg: cfg.update(alpha=math.nan)),
+        "alpha must be positive and finite", "config"),
+    "model-config-init-scale-nan": (
+        "model", lambda d, c: edit_config(d, c, lambda cfg: cfg.update(init_scale=math.nan)),
+        "init_scale must be >= 0 and finite", "config"),
     "model-negative-episode-length": (
         "model", lambda d, c: _put(d, len(d) - 4, struct.pack("<i", -3)),
         "negative episode length", lambda d: len(d) - 4),
@@ -505,6 +512,13 @@ class TestPlanIO:
         assert back == plan
         assert runtime == 1.25
 
+    def test_fraction_rounded_above_one_loads(self, tmp_path):
+        # a full plan's area can sum a few ulps above the achievable area
+        plan = Plan((0, 1), (0.0,), 1.0000000000000004, "greedy")
+        p = tmp_path / "plan.json"
+        save_plan(p, plan)
+        assert load_plan(p)[0] == plan
+
     def test_runtime_optional(self, tmp_path):
         plan = Plan((0,), (), 1.0, "greedy")
         p = tmp_path / "plan.json"
@@ -534,6 +548,16 @@ class TestPlanIO:
         ("lambdas", "[Infinity]", "finite"),
         ("lambdas", "[-0.5]", "nonnegative"),
         ("lambdas", "[false]", "lambda entry False"),
+        ("order", "[1, 1]", "repeats a view"),
+        ("coverage_fraction", "NaN", "coverage_fraction nan"),
+        ("coverage_fraction", "Infinity", "coverage_fraction inf is not"),
+        ("coverage_fraction", "1.5", "coverage_fraction 1.5"),
+        ("coverage_fraction", "1.000001", "coverage_fraction 1.000001"),
+        ("coverage_fraction", "-0.25", "coverage_fraction -0.25"),
+        ("coverage_fraction", '"1.0"', "coverage_fraction '1.0'"),
+        ("complete", '"no"', "complete 'no'"),
+        ("complete", "1", "complete 1"),
+        ("complete", "null", "complete None"),
     ])
     def test_rejects_malformed_entries(self, tmp_path, field, entries, message):
         p = tmp_path / "plan.json"

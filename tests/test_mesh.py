@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewplan import (Submesh, TriangleMesh, brute_force_boundary, iter_bits, score,
-                      triangle_bits, union_coverage)
-from viewplan.mesh import bit_mask, mask_bits
+from viewplan import (Submesh, TriangleMesh, brute_force_boundary, planar_grid, score,
+                      union_coverage)
 
-from conftest import boundary_pairs, grown_patch, random_bits, submesh_of
+from conftest import boundary_pairs, grown_patch, ordered_area, random_triangles, submesh_of
 
 
-def incidence_boundary(mesh: TriangleMesh, bits: int) -> set[tuple[int, int]]:
+def incidence_boundary(mesh: TriangleMesh, triangles) -> set[tuple[int, int]]:
     """Independent boundary oracle: count undirected-edge incidences with numpy."""
-    idx = [t for t in range(mesh.n_triangles) if (bits >> t) & 1]
+    idx = sorted(set(triangles))
     tris = mesh.triangles[idx]
     directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     undirected = np.sort(directed, axis=1)
@@ -27,12 +26,12 @@ def incidence_boundary(mesh: TriangleMesh, bits: int) -> set[tuple[int, int]]:
 
 class TestBoundary:
     def test_single_triangle_of_square(self, unit_square):
-        t1 = submesh_of(unit_square, triangle_bits([0]))
+        t1 = submesh_of(unit_square, [0])
         assert boundary_pairs(t1) == {(0, 1), (1, 2), (0, 2)}
 
     def test_square_union_has_four_outer_edges(self, unit_square):
-        t1 = submesh_of(unit_square, triangle_bits([0]))
-        t2 = submesh_of(unit_square, triangle_bits([1]))
+        t1 = submesh_of(unit_square, [0])
+        t2 = submesh_of(unit_square, [1])
         u = union_coverage(t1, t2)
         assert boundary_pairs(u) == {(0, 1), (1, 2), (2, 3), (0, 3)}
         assert u.area == pytest.approx(1.0)
@@ -41,49 +40,49 @@ class TestBoundary:
     def test_brute_force_matches_incidence_oracle(self, ico3):
         rng = np.random.default_rng(7)
         for _ in range(30):
-            bits = grown_patch(ico3, rng, 40)
-            assert brute_force_boundary(ico3, bits) == incidence_boundary(ico3, bits)
+            tris = grown_patch(ico3, rng, 40)
+            assert brute_force_boundary(ico3, tris) == incidence_boundary(ico3, tris)
         for density in (0.05, 0.3, 0.7, 0.95):
-            bits = random_bits(ico3, rng, density)
-            assert brute_force_boundary(ico3, bits) == incidence_boundary(ico3, bits)
+            tris = random_triangles(ico3, rng, density)
+            assert brute_force_boundary(ico3, tris) == incidence_boundary(ico3, tris)
 
     def test_union_rule_matches_brute_force(self, ico1):
         rng = np.random.default_rng(21)
         for _ in range(100):
-            x1 = submesh_of(ico1, random_bits(ico1, rng, rng.uniform(0.05, 0.9)))
-            x2 = submesh_of(ico1, random_bits(ico1, rng, rng.uniform(0.05, 0.9)))
-            u = union_coverage(x1, x2)
-            assert boundary_pairs(u) == brute_force_boundary(ico1, x1.bits | x2.bits)
+            a = random_triangles(ico1, rng, rng.uniform(0.05, 0.9))
+            b = random_triangles(ico1, rng, rng.uniform(0.05, 0.9))
+            u = union_coverage(submesh_of(ico1, a), submesh_of(ico1, b))
+            assert boundary_pairs(u) == brute_force_boundary(ico1, a + b)
 
     def test_union_rule_cancels_seam_between_adjacent_parts(self, unit_square):
         # the parts share the diagonal; it must not survive into the union
-        t1 = submesh_of(unit_square, triangle_bits([0]))
-        t2 = submesh_of(unit_square, triangle_bits([1]))
+        t1 = submesh_of(unit_square, [0])
+        t2 = submesh_of(unit_square, [1])
         assert (0, 2) in boundary_pairs(t1) and (0, 2) in boundary_pairs(t2)
         assert (0, 2) not in boundary_pairs(union_coverage(t1, t2))
 
     def test_union_with_self_is_identity(self, ico1):
         rng = np.random.default_rng(3)
-        x = submesh_of(ico1, random_bits(ico1, rng, 0.4))
+        x = submesh_of(ico1, random_triangles(ico1, rng, 0.4))
         u = union_coverage(x, x)
-        assert u.boundary == x.boundary
+        assert np.array_equal(u.boundary, x.boundary)
         assert u.boundary_length == x.boundary_length
 
     def test_mismatched_meshes_rejected(self, unit_square, ico1):
-        a = submesh_of(unit_square, 1)
-        b = submesh_of(ico1, 1)
+        a = submesh_of(unit_square, [0])
+        b = submesh_of(ico1, [0])
         with pytest.raises(ValueError):
             union_coverage(a, b)
 
-    def test_out_of_range_bits_rejected(self, unit_square):
-        with pytest.raises(ValueError):
-            brute_force_boundary(unit_square, 1 << 2)
+    def test_out_of_range_index_rejected(self, unit_square):
+        with pytest.raises(ValueError, match="out of range"):
+            brute_force_boundary(unit_square, [2])
 
 
 class TestUnionCoverage:
     def test_empty_is_identity(self, ico1):
         rng = np.random.default_rng(5)
-        x = submesh_of(ico1, random_bits(ico1, rng, 0.3))
+        x = submesh_of(ico1, random_triangles(ico1, rng, 0.3))
         empty = Submesh.empty(ico1)
         assert union_coverage(x, empty) is x
         assert union_coverage(empty, x) is x
@@ -91,12 +90,12 @@ class TestUnionCoverage:
     def test_commutative(self, ico1):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            x1 = submesh_of(ico1, random_bits(ico1, rng, 0.3))
-            x2 = submesh_of(ico1, random_bits(ico1, rng, 0.3))
+            x1 = submesh_of(ico1, random_triangles(ico1, rng, 0.3))
+            x2 = submesh_of(ico1, random_triangles(ico1, rng, 0.3))
             a = union_coverage(x1, x2)
             b = union_coverage(x2, x1)
-            assert a.bits == b.bits
-            assert a.boundary == b.boundary
+            assert np.array_equal(a.mask, b.mask)
+            assert np.array_equal(a.boundary, b.boundary)
             assert a.boundary_length == b.boundary_length  # same edges, same order
             assert a.area == pytest.approx(b.area, rel=1e-12)
 
@@ -104,7 +103,7 @@ class TestUnionCoverage:
         rng = np.random.default_rng(13)
         acc = Submesh.empty(ico3)
         for _ in range(12):
-            acc = union_coverage(acc, submesh_of(ico3, random_bits(ico3, rng, 0.1)))
+            acc = union_coverage(acc, submesh_of(ico3, random_triangles(ico3, rng, 0.1)))
         direct = float(sum(ico3.triangle_area[t] for t in acc.triangle_indices()))
         assert acc.area == pytest.approx(direct, rel=1e-9)
 
@@ -112,7 +111,7 @@ class TestUnionCoverage:
         rng = np.random.default_rng(17)
         acc = Submesh.empty(ico3)
         for _ in range(12):
-            acc = union_coverage(acc, submesh_of(ico3, random_bits(ico3, rng, 0.1)))
+            acc = union_coverage(acc, submesh_of(ico3, random_triangles(ico3, rng, 0.1)))
         verts = ico3.vertices
         direct = float(sum(np.linalg.norm(verts[v] - verts[u])
                            for u, v in boundary_pairs(acc)))
@@ -121,8 +120,8 @@ class TestUnionCoverage:
 
 class TestScore:
     def test_square_values(self, unit_square):
-        t1 = submesh_of(unit_square, triangle_bits([0]))
-        both = submesh_of(unit_square, triangle_bits([0, 1]))
+        t1 = submesh_of(unit_square, [0])
+        both = submesh_of(unit_square, [0, 1])
         assert score(both, 1.0) == pytest.approx(0.25)
         assert score(t1, 1.0) == pytest.approx(0.5 / (2.0 + math.sqrt(2.0)))
         assert score(t1, 1.0) == pytest.approx(0.146447, abs=1e-6)
@@ -134,11 +133,11 @@ class TestScore:
 
     def test_negative_lambda_rejected(self, unit_square):
         with pytest.raises(ValueError):
-            score(submesh_of(unit_square, 1), -0.5)
+            score(submesh_of(unit_square, [0]), -0.5)
 
     def test_closed_surface_has_no_boundary(self, ico1):
-        full = submesh_of(ico1, ico1.full_bits)
-        assert full.boundary == 0
+        full = submesh_of(ico1, range(ico1.n_triangles))
+        assert not full.boundary.any()
         assert boundary_pairs(full) == frozenset()
         assert full.boundary_length == 0.0
         assert score(full, 0.0) == pytest.approx(full.area)
@@ -150,11 +149,11 @@ class TestScore:
         # ico3 patch boundary lengths exceed 1, so higher lam must score lower;
         # a shrunken copy has boundaries below 1 and the order flips
         rng = np.random.default_rng(29)
-        bits = grown_patch(ico3, rng, 25)
-        big = submesh_of(ico3, bits)
+        tris = grown_patch(ico3, rng, 25)
+        big = submesh_of(ico3, tris)
         assert big.boundary_length > 1.0
         small_mesh = TriangleMesh(ico3.vertices * 0.01, ico3.triangles)
-        small = submesh_of(small_mesh, bits)
+        small = submesh_of(small_mesh, tris)
         assert small.boundary_length < 1.0
         lam_hi = lam_lo + lam_gap
         assert score(big, lam_hi) < score(big, lam_lo)
@@ -242,34 +241,54 @@ class TestMeshValidation:
             assert length == float(np.linalg.norm(ico1.vertices[v] - ico1.vertices[u]))
 
     def test_brute_force_edges_are_plain_int_pairs(self, unit_square):
-        edges = brute_force_boundary(unit_square, 1)
+        edges = brute_force_boundary(unit_square, [0])
         assert edges == {(0, 1), (1, 2), (0, 2)}
         assert all(type(u) is int and type(v) is int for u, v in edges)
 
 
-class TestIterBits:
-    @pytest.mark.parametrize("indices", [[], [0], [3, 64, 200], [0, 255, 256, 1000, 4099]])
-    def test_ascending_indices_on_both_sides_of_the_numpy_cutover(self, indices):
-        assert list(iter_bits(triangle_bits(indices))) == indices
-
-    @pytest.mark.parametrize("bits", [-1, -(1 << 300)])
-    def test_negative_bitset_rejected(self, bits):
-        with pytest.raises(ValueError, match="nonnegative"):
-            iter_bits(bits)
-
-
-class _NoShift(int):
-    """An index that fails the test if a bit is ever built from it."""
-
-    def __rlshift__(self, other):
-        raise AssertionError(f"built a bit for index {int(self)} before the range check")
-
-
 class TestFromTriangles:
-    @pytest.mark.parametrize("index", [2, -1, 2**31])  # the square has 2 triangles
+    @pytest.mark.parametrize("index", [2, -1, 2**31, 2**63, 2**64])  # the square has 2 triangles
     def test_out_of_range_index_rejected_before_its_bit_is_built(self, unit_square, index):
         with pytest.raises(ValueError, match="out of range"):
-            Submesh.from_triangles(unit_square, [0, _NoShift(index)])
+            Submesh.from_triangles(unit_square, [0, index])
+
+    @pytest.mark.parametrize("indices", [np.array([0, 2]), np.array([-1, 0]),
+                                         np.array([2**63], dtype=np.uint64)])
+    def test_out_of_range_array_rejected(self, unit_square, indices):
+        with pytest.raises(ValueError, match="out of range"):
+            Submesh.from_triangles(unit_square, indices)
+
+    # a bare int would read as one index to numpy; a bitset such as 0b11 must not
+    @pytest.mark.parametrize("bits", [-1, -(1 << 300), 0b11, True, np.int64(1)])
+    def test_bare_int_rejected(self, unit_square, bits):
+        with pytest.raises(TypeError):
+            Submesh.from_triangles(unit_square, bits)
+
+    @pytest.mark.parametrize("indices", [[0.0], [True], ["0"], [None], np.array([True, False]),
+                                         np.array([0.0]), np.array([[0, 1]])],
+                             ids=["float", "bool", "str", "none", "bool-array", "float-array",
+                                  "2d-array"])
+    def test_non_integer_indices_rejected(self, unit_square, indices):
+        with pytest.raises(TypeError):
+            Submesh.from_triangles(unit_square, indices)
+
+    @pytest.mark.parametrize("indices", [[], [0], [3, 64, 200], [0, 255, 256, 1000, 4099]])
+    def test_indices_come_back_ascending(self, indices):
+        mesh = planar_grid(40, 52)  # 4160 triangles
+        for given in (indices, indices[::-1], np.array(indices, dtype=np.int64), indices * 2):
+            x = Submesh.from_triangles(mesh, given)
+            assert x.triangle_indices().tolist() == indices
+            assert x.count == len(indices)
+
+
+class TestImmutable:
+    def test_masks_reject_writes(self, ico1):
+        x = submesh_of(ico1, [0, 5, 9])
+        for arr in (x.mask, x.boundary):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = not arr[0]
+            with pytest.raises(ValueError, match="read-only"):
+                arr |= True
 
 
 def ordered_length(mesh: TriangleMesh, pairs) -> float:
@@ -282,18 +301,17 @@ def ordered_length(mesh: TriangleMesh, pairs) -> float:
 
 
 class TestArrayBookkeeping:
-    # ico1 has 80 triangles and 120 edges, below the 256-bit switch of
-    # iter_bits; ico3 has 1280 triangles and 1920 edges, above it
+    # ico1 has 80 triangles and 120 edges, ico3 1280 and 1920
     @pytest.mark.parametrize("name", ["ico1", "ico3"])
     def test_from_triangles_matches_the_reference_loops(self, name, request):
         mesh = request.getfixturevalue(name)
         rng = np.random.default_rng(23)
         for density in (0.02, 0.3, 0.9):
-            bits = random_bits(mesh, rng, density)
-            x = Submesh.from_triangles(mesh, bits)
-            oracle = brute_force_boundary(mesh, bits)
+            tris = random_triangles(mesh, rng, density)
+            x = Submesh.from_triangles(mesh, tris)
+            oracle = brute_force_boundary(mesh, tris)
             assert boundary_pairs(x) == oracle
-            assert x.area == mesh.area_of_bits(bits)
+            assert x.area == ordered_area(mesh, tris)
             assert x.boundary_length == ordered_length(mesh, oracle)
 
     @pytest.mark.parametrize("name", ["ico1", "ico3"])
@@ -305,23 +323,28 @@ class TestArrayBookkeeping:
             part = submesh_of(mesh, grown_patch(mesh, rng, mesh.n_triangles // 10))
             before = acc
             acc = union_coverage(acc, part)
-            oracle = brute_force_boundary(mesh, acc.bits)
+            oracle = brute_force_boundary(mesh, acc.triangle_indices())
             assert boundary_pairs(acc) == oracle
             assert acc.boundary_length == ordered_length(mesh, oracle)
             if acc is not part and acc is not before:
-                assert acc.area == before.area + mesh.area_of_bits(part.bits & ~before.bits)
+                added = set(part.triangle_indices()) - set(before.triangle_indices())
+                assert acc.area == before.area + ordered_area(mesh, added)
 
-    @pytest.mark.parametrize("bits", [0, 1, (1 << 7) | 1, (1 << 300) | (1 << 255) | 5])
-    def test_mask_round_trip(self, bits):
-        mask = bit_mask(bits, 301)
-        assert mask.dtype == bool and len(mask) == 301
-        assert mask.nonzero()[0].tolist() == list(iter_bits(bits))
-        assert mask_bits(mask) == bits
+    # each case is a set of triangle indices, written as the int with those bits set
+    @pytest.mark.parametrize("index_bits", [0, 1, (1 << 7) | 1, (1 << 300) | (1 << 255) | 5])
+    def test_mask_round_trip(self, index_bits):
+        indices = [i for i in range(index_bits.bit_length()) if index_bits >> i & 1]
+        mesh = planar_grid(10, 16)  # 320 triangles
+        x = Submesh.from_triangles(mesh, indices)
+        assert x.mask.dtype == bool and x.mask.shape == (mesh.n_triangles,)
+        assert x.mask.nonzero()[0].tolist() == indices
+        assert x.count == len(indices)
+        assert Submesh.from_triangles(mesh, x.triangle_indices()) == x
 
 
 class TestNonFiniteLambda:
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_score_rejects(self, unit_square, lam):
-        x = submesh_of(unit_square, 0b11)
+        x = submesh_of(unit_square, [0, 1])
         with pytest.raises(ValueError, match="finite"):
             score(x, lam)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ def make_net(hidden_w, hidden_b, out_w, out_b):
 
 def forward_oracle(net, x):
     """Straight-line recomputation with plain Python loops."""
-    import math
     h = net.config.hidden
     total = net.out_b
     for i in range(h):
@@ -40,6 +41,11 @@ class TestConfig:
             NetworkConfig(input_dim=3, hidden=0)
         with pytest.raises(ValueError):
             NetworkConfig(input_dim=3, init_scale=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_init_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="init_scale must be >= 0 and finite"):
+            NetworkConfig(input_dim=3, init_scale=bad)
 
     def test_shape_validation(self):
         cfg = NetworkConfig(input_dim=3, hidden=2)

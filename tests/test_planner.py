@@ -101,7 +101,7 @@ class TestNextBestView:
         table = table_from_sets(grid, sets)
         state = CoverageState.initial(table).add(table, 0)
         # view 2 gains more area but is disjoint from the covered set
-        assert table.coverage[2].bits & state.covered.bits == 0
+        assert not (table.coverage[2].mask & state.covered.mask).any()
         gain2 = table.coverage[2].count
         gain1 = len(set(sets[1]) - set(sets[0]))
         assert gain2 > gain1
@@ -123,7 +123,7 @@ class TestNextBestView:
         rng = np.random.default_rng(11)
         mesh = jittered_sphere(3)
         neigh = tri_neighbors(mesh)
-        sets = [list(Submesh.from_triangles(mesh, grown_patch(mesh, rng, 12, neigh)).triangle_indices())
+        sets = [grown_patch(mesh, rng, 12, neigh)
                 for _ in range(6)]
         table = table_from_sets(mesh, sets)
         state = CoverageState.initial(table).add(table, 0)
@@ -134,9 +134,9 @@ class TestNextBestView:
                 if (state.chosen >> i) & 1:
                     continue
                 sm = table.coverage[i]
-                if sm.bits & ~state.covered.bits == 0:
+                if not (sm.mask > state.covered.mask).any():
                     continue
-                if not sm.bits & state.covered.bits:
+                if not (sm.mask & state.covered.mask).any():
                     continue
                 s = score(union_coverage(state.covered, sm), lam)
                 if best is None or s > best[0]:
@@ -192,9 +192,9 @@ class TestCoverageState:
         table = table_from_sets(unit_square, [[0], [1]])
         s0 = CoverageState.initial(table)
         s1 = s0.add(table, 0)
-        assert s0.chosen == 0 and s0.covered.bits == 0
+        assert s0.chosen == 0 and s0.covered.count == 0
         assert s1.chosen == 1
-        assert s1.covered.bits == table.coverage[0].bits
+        assert s1.covered == table.coverage[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             s1.chosen = 0
 
@@ -257,7 +257,7 @@ class TestRuns:
         mesh = jittered_sphere(9)
         neigh = tri_neighbors(mesh)
         for trial in range(10):
-            sets = [list(Submesh.from_triangles(mesh, grown_patch(mesh, rng, 10, neigh)).triangle_indices())
+            sets = [grown_patch(mesh, rng, 10, neigh)
                     for _ in range(7)]
             table = table_from_sets(mesh, sets)
             for lam in (0.0, 1.0):
@@ -270,7 +270,7 @@ class TestRuns:
         rng = np.random.default_rng(17)
         mesh = jittered_sphere(21)
         neigh = tri_neighbors(mesh)
-        sets = [list(Submesh.from_triangles(mesh, grown_patch(mesh, rng, 14, neigh)).triangle_indices())
+        sets = [grown_patch(mesh, rng, 14, neigh)
                 for _ in range(6)]
         table = table_from_sets(mesh, sets)
         a = run_fixed_lambda(table, 1.0)
@@ -283,7 +283,7 @@ class TestRuns:
         rng = np.random.default_rng(13)
         mesh = jittered_sphere(37)
         neigh = tri_neighbors(mesh)
-        sets = [list(Submesh.from_triangles(mesh, grown_patch(mesh, rng, 13, neigh)).triangle_indices())
+        sets = [grown_patch(mesh, rng, 13, neigh)
                 for _ in range(6)]
         table = table_from_sets(mesh, sets)
         big = TriangleMesh(mesh.vertices * 7.3, mesh.triangles.copy())
@@ -327,7 +327,7 @@ class TestRuns:
         neigh = tri_neighbors(mesh)
         areas = {t: float(mesh.triangle_area[t]) for t in range(mesh.n_triangles)}
         for trial in range(20):
-            sets = [set(Submesh.from_triangles(mesh, grown_patch(mesh, rng, 11, neigh)).triangle_indices())
+            sets = [set(grown_patch(mesh, rng, 11, neigh))
                     for _ in range(rng.integers(3, 9))]
             table = table_from_sets(mesh, [sorted(s) for s in sets])
             plan = run_fixed_lambda(table, 0.0)
@@ -335,11 +335,11 @@ class TestRuns:
 
 
 def pool_oracle(state, table):
-    """The selection pool by bitset arithmetic, one view at a time."""
-    covered = state.covered.bits
-    gaining = [i for i, sm in enumerate(table.coverage)
-               if not (state.chosen >> i) & 1 and sm.bits & ~covered]
-    overlapping = [i for i in gaining if not covered or table.coverage[i].bits & covered]
+    """The selection pool by set arithmetic, one view at a time."""
+    covered = set(state.covered.triangle_indices().tolist())
+    sets = [set(sm.triangle_indices().tolist()) for sm in table.coverage]
+    gaining = [i for i, s in enumerate(sets) if not (state.chosen >> i) & 1 and s - covered]
+    overlapping = [i for i in gaining if not covered or sets[i] & covered]
     return overlapping or gaining
 
 
@@ -353,7 +353,7 @@ def assert_batched_matches_oracle(state, table, lams=(0.0, 0.5, 1.0, 2.0)):
         for v, area, length, s in got:
             u = union_coverage(covered, table.coverage[v])
             assert (area, length, s) == (u.area, u.boundary_length, score(u, lam)), (v, lam)
-    rows = np.array([i for i, sm in enumerate(table.coverage) if sm.bits & ~covered.bits],
+    rows = np.array([i for i, sm in enumerate(table.coverage) if (sm.mask > covered.mask).any()],
                     dtype=np.int64)
     mask, inside = table.patches.overlap(covered)
     area, length = table.patches.unions(covered, rows, mask, inside)
@@ -395,7 +395,7 @@ class TestBatchedScores:
         table = large_grid_table
         state = CoverageState.initial(table)  # every view is in the first pool
         wide = 0
-        while state.covered.bits != table.achievable.bits:
+        while state.covered != table.achievable:
             if len(pool_oracle(state, table)) > mesh._CHUNK_ROWS:
                 assert_batched_matches_oracle(state, table, lams=(0.0, 1.0))
                 wide += 1
@@ -433,13 +433,13 @@ class TestBatchedScores:
         rng = np.random.default_rng(1)
         neigh = tri_neighbors(mesh)
         inner = grown_patch(mesh, rng, 9, neigh)
-        outer = inner | grown_patch(mesh, rng, 12, neigh)
+        outer = sorted(set(inner) | set(grown_patch(mesh, rng, 12, neigh)))
         table = CoverageTable.build(mesh, None, [Submesh.from_triangles(mesh, inner),
                                                  Submesh.from_triangles(mesh, outer)])
         state = CoverageState.initial(table).add(table, 0)
         view = table.coverage[1]
         assert union_coverage(state.covered, view) is view
-        added = Submesh.from_triangles(mesh, outer & ~inner).area
+        added = Submesh.from_triangles(mesh, sorted(set(outer) - set(inner))).area
         assert state.covered.area + added != view.area
         assert_batched_matches_oracle(state, table)
 

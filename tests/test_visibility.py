@@ -113,13 +113,13 @@ class TestViewCoverage:
         # grid normals point +z; a camera above looks at the front side
         view = ViewPoint.aimed([2.0, 2.0, 6.0], target=(2.0, 2.0, 0.0))
         cov = view_coverage(grid, build_bvh(grid), view)
-        assert cov.bits == grid.full_bits
+        assert cov.mask.all()
 
     def test_back_side_sees_nothing(self):
         grid = planar_grid(4, 4)
         view = ViewPoint.aimed([2.0, 2.0, -6.0], target=(2.0, 2.0, 0.0))
         cov = view_coverage(grid, build_bvh(grid), view)
-        assert cov.bits == 0
+        assert cov.count == 0 and not cov.mask.any()
 
     def test_narrow_fov_clips(self):
         grid = planar_grid(8, 8)
@@ -136,14 +136,14 @@ class TestViewCoverage:
         grid = planar_grid(4, 4)
         bvh = build_bvh(grid)
         near_view = ViewPoint.aimed([2.0, 2.0, 6.0], target=(2.0, 2.0, 0.0), far=5.0)
-        assert view_coverage(grid, bvh, near_view).bits == 0
+        assert view_coverage(grid, bvh, near_view).count == 0
         wide = ViewPoint.aimed([2.0, 2.0, 6.0], target=(2.0, 2.0, 0.0), far=50.0)
-        assert view_coverage(grid, bvh, wide).bits == grid.full_bits
+        assert view_coverage(grid, bvh, wide).mask.all()
 
     def test_near_plane_excludes_close_surface(self):
         grid = planar_grid(4, 4)
         view = ViewPoint.aimed([2.0, 2.0, 0.5], target=(2.0, 2.0, 0.0), near=1.0)
-        assert view_coverage(grid, build_bvh(grid), view).bits == 0
+        assert view_coverage(grid, build_bvh(grid), view).count == 0
 
     def test_occluder_blocks_lower_sheet(self, occluder):
         # two identical sheets stacked in z; from above only the top is visible
@@ -186,10 +186,10 @@ class TestCoverageTable:
     def test_achievable_is_union(self, ico1):
         views = [ViewPoint.aimed(p) for p in ([3.0, 0, 0], [-3.0, 0, 0], [0, 3.0, 0])]
         table = precompute_coverage(ico1, views)
-        bits = 0
+        covered = np.zeros(ico1.n_triangles, dtype=bool)
         for sm in table.coverage:
-            bits |= sm.bits
-        assert table.achievable.bits == bits
+            covered |= sm.mask
+        assert np.array_equal(table.achievable.mask, covered)
         assert table.n_views == 3
 
     def test_parallel_equals_sequential(self, ico1):
@@ -197,7 +197,7 @@ class TestCoverageTable:
                  ([3.0, 0, 0], [-3.0, 0, 0], [0, 3.0, 0], [0, -3.0, 0], [0, 0, 3.0])]
         seq = precompute_coverage(ico1, views, workers=None)
         par = precompute_coverage(ico1, views, workers=3)
-        assert [sm.bits for sm in seq.coverage] == [sm.bits for sm in par.coverage]
+        assert list(seq.coverage) == list(par.coverage)
         assert seq.digest == par.digest
 
     def test_digest_tracks_content(self, ico1, unit_square):
@@ -222,7 +222,7 @@ class TestCoverageTable:
                Submesh.from_triangles(unit_square, [1])]
         table = CoverageTable.build(unit_square, None, cov)
         assert table.views is None
-        assert table.achievable.bits == unit_square.full_bits
+        assert table.achievable.mask.all()
 
     def test_empty_view_list_rejected(self, ico1):
         with pytest.raises(ValueError):
