@@ -180,7 +180,7 @@ def exact_min_cover(table: CoverageTable, rcc: float = 1.0, connected: bool = Fa
         return area
 
     if done(0, 0.0):
-        return Plan((), (), coverage_fraction(0.0, table), method)
+        return Plan((), (), coverage_fraction(0.0, table, ach_bits == 0), method)
     frontier: list[tuple[int, float, tuple[int, ...]]] = [(0, 0.0, ())]
     seen = {0}
     for _size in range(1, n + 1):
@@ -197,7 +197,9 @@ def exact_min_cover(table: CoverageTable, rcc: float = 1.0, connected: bool = Fa
                 new_area = area + _area_of_bits(areas, new_bits & ~bits) if rcc < 1.0 else 0.0
                 picked = chosen + (j,)
                 if done(new_bits, new_area):
-                    return Plan(picked, (), coverage_fraction(area_along(picked), table), method)
+                    fraction = coverage_fraction(area_along(picked), table,
+                                                 ach_bits & ~new_bits == 0)
+                    return Plan(picked, (), fraction, method)
                 seen.add(new_bits)
                 grown.append((new_bits, new_area, picked))
         frontier = grown

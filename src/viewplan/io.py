@@ -26,8 +26,9 @@ COVERAGE_MAGIC = b"VPCV"
 WEIGHTS_MAGIC = b"VPNW"
 FORMAT_VERSION = 1
 
-# A plan's covered area and the achievable area sum the same triangles in
-# different orders, so a full plan's fraction can be a few ulps above 1
+# Plans now store exactly 1.0 for full coverage, but files written before
+# that hold the ratio of the plan's area to the achievable area, which sum
+# the same triangles in different orders and can be a few ulps above 1
 # (1.0000000000000004 on the five-sphere scene).
 _FRACTION_SLACK = 1e-9
 

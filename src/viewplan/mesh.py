@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-_CHUNK_ROWS = 32  # patches measured per array pass in `PatchArrays.unions`
+_CHUNK_ROWS = 32  # patches measured per array pass in `PatchArrays`
 
 
 def sequential_sum(values: np.ndarray) -> float:
@@ -303,20 +303,39 @@ def score_value(area: float, boundary_length: float, lam: float) -> float:
 
 
 class PatchArrays:
-    """Fixed patches (submeshes) of one mesh as padded arrays, one row per
-    patch, so that the union of one covered submesh with each of many patches
-    is measured in one array pass.
+    """Fixed patches (submeshes) of one mesh as arrays, so that the union of
+    one covered submesh with each of many patches is measured in one array
+    pass.
 
-    The rows are read off the patches' triangle masks once. A call reads the
-    covered submesh's triangle mask at each row entry and its boundary edge
-    mask as a list of edge ids. Row i lists patch i's triangles ascending, and the three edges of each as
-    slots sorted by edge id. Rows are padded to a common width with a padding
-    triangle (index n_triangles, zero area, never covered) whose edges are a
-    padding edge (index n_edges, zero length). Each union's area and boundary
-    length are bit-equal to `union_coverage`'s: both are sums in ascending
-    index order, taken with `np.cumsum` along rows in which the values left out
-    are +0.0, and adding +0.0 leaves a sum unchanged. Rows are measured in
-    fixed chunks of `_CHUNK_ROWS`, which bounds the temporary arrays.
+    The arrays are read off the patches' triangle masks once. `overlap`
+    counts each patch's covered triangles from one flat list of all patches'
+    triangles, and returns the lookup array of a call: the covered-triangle
+    mask, one never-covered entry, then the covered boundary-edge mask.
+
+    Row i of a padded table lists patch i's triangles ascending, right-aligned
+    to the widest patch's width W, then two bracket entries, then one slot
+    per distinct edge of the patch, ascending by edge id. A slot's key is
+    2 * edge or 2 * edge + 1, xor its lookup entry, so that an edge is on the
+    union's boundary iff its key 2 * edge comes up once among the slots and
+    the covered boundary:
+    - an edge of one patch triangle flips when that triangle is new: its key
+      is 2 * edge and its lookup entry the triangle, so a covered triangle
+      makes it 2 * edge + 1, which has length zero;
+    - an edge between two patch triangles is never on the union's boundary:
+      its key is 2 * edge + 1 and its lookup entry the edge's covered
+      boundary flag, so it becomes 2 * edge, and cancels the covered
+      boundary's key, when the edge is on that boundary.
+    Padding is a padding triangle (index n_triangles, zero area, never
+    covered) and padding slots with the key 2 * n_edges, of length zero.
+
+    A call measures the pooled rows in chunks of at most `_CHUNK_ROWS` and
+    reads each chunk only up to its own widest row: w triangles and d slots.
+    A pool wider than one chunk is chunked in ascending patch size (a stable
+    sort), so rows of like size share a chunk; the results come back in the
+    pool's order. Each union's area and boundary length are bit-equal to
+    `union_coverage`'s: both are sums in ascending index order, taken with
+    `np.cumsum` along rows in which the values left out are +0.0, and adding
+    +0.0 leaves a sum unchanged.
     """
 
     def __init__(self, mesh: TriangleMesh, patches: Iterable[Submesh]):
@@ -328,80 +347,109 @@ class PatchArrays:
             raise ValueError("mesh too large for 32-bit slot keys")
         self.mesh = mesh
         self.size = np.array([p.count for p in patches], dtype=np.int64)
-        self._area = [p.area for p in patches]
-        width = max(1, int(self.size.max(initial=0)))
-        # per row: the triangles, then the slots' triangles bracketed by two
-        # padding entries; the slot keys line up with the slots' triangles
-        self._index = np.full((len(patches), 4 * width + 2), n_tri, dtype=np.int32)
-        self._slot_key = np.full((len(patches), 3 * width + 2), 2 * n_edges, dtype=np.int32)
-        self._slot_key[:, 0], self._slot_key[:, -1] = -1, 2 * n_edges + 2
-        tri_edges = np.vstack([mesh.tri_edges, [n_edges] * 3])
+        self._area = np.array([p.area for p in patches])
+        # the flat list: each patch's triangles, or the never-covered entry
+        # for a patch without any, so that no run is empty for np.add.reduceat
+        # (it returns a[start], not 0, for an empty run)
+        runs = [p.mask.nonzero()[0] if p.count else np.array([n_tri]) for p in patches]
+        self._flat = np.concatenate(runs)
+        self._run_start = np.cumsum([0] + [len(r) for r in runs[:-1]])
+        # a patch's distinct edges: 3 per triangle, an inner one counted twice
+        slots = (3 * self.size + [np.count_nonzero(p.boundary) for p in patches]) // 2
+        self._shape = np.stack([self.size, slots], axis=1)  # (triangles, slots) per row
+        width = self._width = max(1, int(self.size.max(initial=0)))
+        # per row: the triangles, the brackets, the slots' lookup entries; the
+        # slot keys line up with the brackets and the slots
+        self._index = np.full((len(patches), width + 2 + int(slots.max(initial=0))), n_tri,
+                              dtype=np.int32)
+        self._slot_key = np.full((len(patches), self._index.shape[1] - width), 2 * n_edges,
+                                 dtype=np.int32)
+        self._slot_key[:, :2] = -1, 2 * n_edges + 2
+        row = np.repeat(np.arange(len(patches)), self.size)
+        triangle = np.concatenate([r[:k] for r, k in zip(runs, self.size.tolist())])
+        end = np.cumsum(self.size)
+        self._index[row, width - end[row] + np.arange(len(triangle))] = triangle
+        first_slot = np.cumsum(slots) - slots
         for start in range(0, len(patches), _CHUNK_ROWS):
-            chunk = patches[start:start + _CHUNK_ROWS]
-            rows = slice(start, start + len(chunk))
-            # row * n_triangles + triangle, ascending
-            entry = np.concatenate([p.mask for p in chunk]).nonzero()[0]
-            size = self.size[rows]
-            column = np.arange(len(entry)) - np.repeat(np.cumsum(size) - size, size)
-            triangle = self._index[rows, :width]
-            triangle[entry // n_tri, column] = entry % n_tri
-            edges = tri_edges.take(triangle, axis=0).reshape(len(chunk), -1)
-            order = edges.argsort(axis=1, kind="stable")
-            order += np.arange(len(chunk))[:, None] * edges.shape[1]
-            # slot key 2 * edge, plus 1 per call where the slot's triangle is covered
-            self._slot_key[rows, 1:-1] = 2 * edges.take(order)
-            self._index[rows, width + 1:-1] = triangle.take(order // 3)
-        self._width = width
-        self._triangle = self._index[:, :width]
+            stop = min(start + _CHUNK_ROWS, len(patches))
+            part = slice(end[start] - self.size[start], end[stop - 1])
+            # the rows' slots: their triangles' edges sorted by (row, edge),
+            # where an edge between two patch triangles keeps its first slot
+            slot = np.repeat(row[part], 3) * n_edges
+            slot += mesh.tri_edges.take(triangle[part], axis=0).ravel()
+            order = slot.argsort(kind="stable")
+            slot = slot.take(order)
+            kept = np.ones(len(slot), dtype=bool)
+            kept[1:] = slot[1:] != slot[:-1]
+            inner = np.zeros(len(slot), dtype=bool)
+            inner[:-1] = ~kept[1:]
+            slot_row, edge = np.divmod(slot[kept], n_edges)
+            inner = inner[kept]
+            column = 2 + np.arange(len(edge)) - (first_slot[slot_row] - first_slot[start])
+            self._index[slot_row, width + column] = np.where(
+                inner, n_tri + 1 + edge, triangle[part].take(order[kept] // 3))
+            self._slot_key[slot_row, column] = 2 * edge + inner
         self._triangle_area = np.append(mesh.triangle_area, 0.0)
         self._key_length = np.zeros(2 * n_edges + 2)
         self._key_length[0:2 * n_edges:2] = mesh.edge_length
 
     def overlap(self, covered: Submesh) -> tuple[np.ndarray, np.ndarray]:
-        """(mask, inside): the covered-triangle mask that `unions` takes, and
-        how many of each patch's triangles are covered."""
-        mask = np.append(covered.mask, False)  # the padding triangle is never covered
-        return mask, mask[self._triangle].sum(axis=1)
+        """(lookup, inside): the lookup array that `areas` and `unions` take,
+        and how many of each patch's triangles are covered."""
+        lookup = np.concatenate([covered.mask, [False], covered.boundary])
+        inside = np.add.reduceat(lookup.take(self._flat), self._run_start, dtype=np.int64)
+        return lookup, inside
 
-    def unions(self, covered: Submesh, rows: np.ndarray, mask: np.ndarray,
-               inside: np.ndarray) -> tuple[list[float], list[float]]:
+    def areas(self, covered: Submesh, rows: np.ndarray, lookup: np.ndarray,
+              inside: np.ndarray) -> np.ndarray:
+        """Area of `covered` united with each patch in `rows`, where (lookup,
+        inside) is `overlap(covered)`. Each patch must add a triangle to
+        `covered`."""
+        return self._measure(covered, rows, lookup, inside, None)[0]
+
+    def unions(self, covered: Submesh, rows: np.ndarray, lookup: np.ndarray,
+               inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(area, boundary_length) of `covered` united with each patch in
-        `rows`, where (mask, inside) is `overlap(covered)`. Each patch must
-        add a triangle to `covered`."""
-        edges = 2 * covered.boundary.nonzero()[0]
-        area: list[float] = []
-        length: list[float] = []
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[start:start + _CHUNK_ROWS]
-            index = self._index.take(chunk, axis=0)
-            covered_at = mask.take(index)
-            area += self._areas(covered, chunk, inside, index, covered_at)
-            length += self._boundary_lengths(chunk, edges, covered_at)
+        `rows`, as `areas` takes them."""
+        return self._measure(covered, rows, lookup, inside, 2 * covered.boundary.nonzero()[0])
+
+    def _measure(self, covered, rows, lookup, inside, edges):
+        # the area each triangle adds: +0.0 where covered
+        fresh = np.where(lookup[:len(self._triangle_area)], 0.0, self._triangle_area)
+        if len(rows) == 0:
+            return np.empty(0), None if edges is None else np.empty(0)
+        if len(rows) <= _CHUNK_ROWS:  # one chunk: no sort
+            return self._chunk(covered, rows, lookup, inside, fresh, edges)
+        area = np.empty(len(rows))
+        length = None if edges is None else np.empty(len(rows))
+        order = self.size.take(rows).argsort(kind="stable")
+        for at in np.split(order, range(_CHUNK_ROWS, len(rows), _CHUNK_ROWS)):
+            area[at], chunk_length = self._chunk(covered, rows.take(at), lookup, inside, fresh,
+                                                 edges)
+            if edges is not None:
+                length[at] = chunk_length
         return area, length
 
-    def _areas(self, covered, rows, inside, index, covered_at) -> list[float]:
-        w = self._width
-        area = self._triangle_area.take(index[:, :w])
-        area *= ~covered_at[:, :w]  # the new triangles only
-        added = area.cumsum(axis=1, out=area)[:, -1]
+    def _chunk(self, covered, rows, lookup, inside, fresh, edges):
+        w, d = self._shape.take(rows, axis=0).max(axis=0).tolist()
+        stop = self._width if edges is None else self._width + 2 + d
+        index = self._index[rows, self._width - w:stop]
+        added = fresh.take(index[:, :w]).cumsum(axis=1)[:, -1]
         # a patch holding all of `covered` is the union itself (`union_coverage`
         # returns it), with its area summed over all of its triangles
-        count, base = covered.count, covered.area
-        return [self._area[r] if k == count else base + a
-                for r, k, a in zip(rows.tolist(), inside.take(rows).tolist(), added.tolist())]
-
-    def _boundary_lengths(self, rows, edges, covered_at) -> list[float]:
-        # Per row, the covered boundary's keys 2 * edge and the patch's slot
-        # keys (+1 for a slot of a covered triangle), sorted. An edge is on the
-        # union's boundary iff one key 2 * edge occurs: from the covered
-        # boundary or from one new triangle, not from both or two. The slot
-        # keys -1 and 2 * n_edges + 2 bracket every row.
-        keys = np.empty((len(rows), len(edges) + self._slot_key.shape[1]), dtype=np.int32)
+        area = np.where(inside.take(rows) == covered.count, self._area.take(rows),
+                        covered.area + added)
+        if edges is None:
+            return area, None
+        # Per row, the covered boundary's keys 2 * edge, the brackets -1 and
+        # 2 * n_edges + 2, and the slot keys, sorted. An edge is on the union's
+        # boundary iff its key 2 * edge occurs once.
+        keys = np.empty((len(rows), len(edges) + 2 + d), dtype=np.int32)
         keys[:, :len(edges)] = edges
-        np.add(self._slot_key.take(rows, axis=0), covered_at[:, self._width:],
-               out=keys[:, len(edges):])
+        np.bitwise_xor(self._slot_key[rows, :2 + d], lookup.take(index[:, w:]),
+                       out=keys[:, len(edges):])
         keys.sort(axis=1)
         differ = keys[:, 1:] != keys[:, :-1]
         length = self._key_length.take(keys[:, 1:-1])
         length *= differ[:, :-1] & differ[:, 1:]
-        return length.cumsum(axis=1, out=length)[:, -1].tolist()
+        return area, length.cumsum(axis=1, out=length)[:, -1]

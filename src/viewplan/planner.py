@@ -61,6 +61,20 @@ def _check_pair(state: CoverageState, table: CoverageTable) -> None:
         raise ValueError("state and table refer to different meshes")
 
 
+def _pool(state: CoverageState, table: CoverageTable):
+    """(patches, rows, lookup, inside): the table's `PatchArrays`, the views
+    of the selection pool (see `candidate_scores`) ascending, and
+    `patches.overlap(state.covered)`."""
+    _check_pair(state, table)
+    patches = table.patches
+    lookup, inside = patches.overlap(state.covered)
+    gaining = inside < patches.size
+    rows = (gaining & (inside > 0)).nonzero()[0]
+    if len(rows) == 0:
+        rows = gaining.nonzero()[0]
+    return patches, rows, lookup, inside
+
+
 def candidate_scores(state: CoverageState, table: CoverageTable,
                      lam: float) -> list[tuple[int, float, float, float]]:
     """(view, area, boundary length, score) of the union of the covered region
@@ -76,27 +90,34 @@ def candidate_scores(state: CoverageState, table: CoverageTable,
     were chosen.
     """
     check_lambda(lam)
-    _check_pair(state, table)
-    patches = table.patches
-    mask, inside = patches.overlap(state.covered)
-    gaining = inside < patches.size
-    overlapping = gaining & (inside > 0)
-    rows = (overlapping if overlapping.any() else gaining).nonzero()[0]
-    area, length = patches.unions(state.covered, rows, mask, inside)
-    return [(v, a, b, score_value(a, b, lam)) for v, a, b in zip(rows.tolist(), area, length)]
+    patches, rows, lookup, inside = _pool(state, table)
+    area, length = patches.unions(state.covered, rows, lookup, inside)
+    return [(v, a, b, score_value(a, b, lam))
+            for v, a, b in zip(rows.tolist(), area.tolist(), length.tolist())]
 
 
 def next_best_view(state: CoverageState, table: CoverageTable, lam: float) -> int | None:
     """Index of the best-scoring view of the selection pool
     (`candidate_scores`), or None when no view adds coverage. Ties go to the
-    lowest index."""
-    best_idx = None
-    best_score = -1.0
-    for idx, _area, _length, s in candidate_scores(state, table, lam):
-        if best_idx is None or s > best_score:
-            best_idx = idx
-            best_score = s
-    return best_idx
+    lowest index. At lam 0 the score is the union's area, so the boundary
+    lengths are not measured."""
+    check_lambda(lam)
+    patches, rows, lookup, inside = _pool(state, table)
+    if len(rows) == 0:
+        return None
+    if lam == 0.0:
+        area = patches.areas(state.covered, rows, lookup, inside)
+        return int(rows[area.argmax()])  # argmax returns the first of equal maxima
+    area, length = patches.unions(state.covered, rows, lookup, inside)
+    scores = [score_value(a, b, lam) for a, b in zip(area.tolist(), length.tolist())]
+    return int(rows[scores.index(max(scores))])
+
+
+def _covers_achievable(covered: Submesh, table: CoverageTable) -> bool:
+    """The covered triangles are all the achievable ones. Covered triangles
+    are achievable, so the mask test runs only once the counts are equal."""
+    achievable = table.achievable
+    return covered.count >= achievable.count and not (achievable.mask > covered.mask).any()
 
 
 def is_terminal(state: CoverageState, table: CoverageTable, rcc: float) -> bool:
@@ -105,19 +126,20 @@ def is_terminal(state: CoverageState, table: CoverageTable, rcc: float) -> bool:
     if not (0.0 <= rcc <= 1.0):
         raise ValueError(f"rcc must be in [0, 1], got {rcc}")
     # set test first: full coverage must terminate even if incremental area
-    # sums drift in the last ulp. Covered triangles are achievable, so the
-    # mask test runs only once the counts are equal.
-    covered, achievable = state.covered, table.achievable
-    if covered.count >= achievable.count and not (achievable.mask > covered.mask).any():
+    # sums drift in the last ulp
+    if _covers_achievable(state.covered, table):
         return True
-    return covered.area >= rcc * achievable.area
+    return state.covered.area >= rcc * table.achievable.area
 
 
-def coverage_fraction(area: float, table: CoverageTable) -> float:
-    """Covered area as a plain float share of the achievable area (1.0 when
-    nothing is achievable)."""
+def coverage_fraction(area: float, table: CoverageTable, full: bool) -> float:
+    """Covered area as a plain float share of the achievable area; exactly
+    1.0 when `full` (the covered triangles are all the achievable ones) or
+    when nothing is achievable. A full plan's area sums the same triangles as
+    the achievable area, but view by view in another order, so their ratio
+    can round to either side of 1."""
     achievable = table.achievable.area
-    if achievable == 0.0:
+    if full or achievable == 0.0:
         return 1.0
     return float(area / achievable)
 
@@ -135,16 +157,19 @@ def run_policy(table: CoverageTable, rcc: float,
     if start is not None:
         state = state.add(table, start)
         order.append(start)
+    complete = True
     while not is_terminal(state, table, rcc):
         lam = lam_at(state, len(order) + 1)
         idx = next_best_view(state, table, lam)
         if idx is None:
-            return Plan(tuple(order), tuple(lambdas), coverage_fraction(state.covered.area, table),
-                        method, complete=False)
+            complete = False
+            break
         order.append(idx)
         lambdas.append(lam)
         state = state.add(table, idx)
-    return Plan(tuple(order), tuple(lambdas), coverage_fraction(state.covered.area, table), method)
+    fraction = coverage_fraction(state.covered.area, table,
+                                 _covers_achievable(state.covered, table))
+    return Plan(tuple(order), tuple(lambdas), fraction, method, complete)
 
 
 def run_fixed_lambda(table: CoverageTable, lam: float, rcc: float = 1.0,

@@ -14,6 +14,7 @@ from viewplan import (
     TriangleMesh,
     ViewPoint,
     candidate_scores,
+    exact_min_cover,
     generate_instance,
     grid_square_triangles,
     icosphere,
@@ -252,6 +253,23 @@ class TestRuns:
         assert plan.final_coverage_fraction == pytest.approx(0.5)
         assert plan.complete
 
+    # the plan-order area sum is above the table-order sum at seeds 9 and 23,
+    # and below it at seed 5
+    @pytest.mark.parametrize("method, seed, views", [("greedy", 9, 6), ("greedy", 5, 6),
+                                                     ("exact", 23, 8)])
+    def test_full_plan_reports_exactly_one(self, method, seed, views):
+        mesh = jittered_sphere(seed)
+        rng = np.random.default_rng(seed)
+        neigh = tri_neighbors(mesh)
+        table = table_from_sets(mesh, [grown_patch(mesh, rng, 14, neigh) for _ in range(views)])
+        plan = run_fixed_lambda(table, 0.0) if method == "greedy" else exact_min_cover(table)
+        state = CoverageState.initial(table)
+        for v in plan.order:
+            state = state.add(table, v)
+        assert state.covered == table.achievable
+        assert state.covered.area != table.achievable.area  # summed in another order
+        assert plan.final_coverage_fraction == 1.0
+
     def test_plan_never_repeats_views(self, ico1):
         rng = np.random.default_rng(5)
         mesh = jittered_sphere(9)
@@ -345,21 +363,31 @@ def pool_oracle(state, table):
 
 def assert_batched_matches_oracle(state, table, lams=(0.0, 0.5, 1.0, 2.0)):
     """Every batched (area, boundary length, score) equals the one-at-a-time
-    `union_coverage` value exactly, for the pool and for every gaining view."""
+    `union_coverage` value exactly, for the pool and for every gaining view
+    in ascending and in descending order; the selector picks the first of the
+    best-scoring views, also on the area-only path at lam 0; and every
+    patch's overlap count equals its covered triangles."""
     covered = state.covered
     for lam in lams:
         got = candidate_scores(state, table, lam)
         assert [v for v, *_ in got] == pool_oracle(state, table)
+        best = None
         for v, area, length, s in got:
             u = union_coverage(covered, table.coverage[v])
             assert (area, length, s) == (u.area, u.boundary_length, score(u, lam)), (v, lam)
-    rows = np.array([i for i, sm in enumerate(table.coverage) if (sm.mask > covered.mask).any()],
-                    dtype=np.int64)
-    mask, inside = table.patches.overlap(covered)
-    area, length = table.patches.unions(covered, rows, mask, inside)
-    for v, a, b in zip(rows.tolist(), area, length):
-        u = union_coverage(covered, table.coverage[v])
-        assert (a, b) == (u.area, u.boundary_length), v
+            if best is None or s > best[1]:
+                best = (v, s)
+        assert next_best_view(state, table, lam) == (None if best is None else best[0]), lam
+    patches = table.patches
+    lookup, inside = patches.overlap(covered)
+    assert inside.tolist() == [int((sm.mask & covered.mask).sum()) for sm in table.coverage]
+    gaining = [i for i, sm in enumerate(table.coverage) if (sm.mask > covered.mask).any()]
+    for rows in (np.array(gaining, dtype=np.int64), np.array(gaining[::-1], dtype=np.int64)):
+        area, length = patches.unions(covered, rows, lookup, inside)
+        assert area.tolist() == patches.areas(covered, rows, lookup, inside).tolist()
+        for v, a, b in zip(rows.tolist(), area.tolist(), length.tolist()):
+            u = union_coverage(covered, table.coverage[v])
+            assert (a, b) == (u.area, u.boundary_length), v
 
 
 @pytest.fixture(scope="module")
@@ -396,11 +424,33 @@ class TestBatchedScores:
         state = CoverageState.initial(table)  # every view is in the first pool
         wide = 0
         while state.covered != table.achievable:
-            if len(pool_oracle(state, table)) > mesh._CHUNK_ROWS:
+            pool = pool_oracle(state, table)
+            if len(pool) > mesh._CHUNK_ROWS:
+                # chunked by size, which is not the pool's order
+                assert np.any(np.diff(table.patches.size[pool]) < 0)
                 assert_batched_matches_oracle(state, table, lams=(0.0, 1.0))
                 wide += 1
             state = state.add(table, next_best_view(state, table, 1.0))
         assert wide >= 2
+
+    @pytest.mark.parametrize("views, empty_at", [(0, 0), (6, 0), (6, 3), (6, 6), (40, 0),
+                                                 (40, 17), (40, 40)])
+    def test_view_without_triangles(self, views, empty_at):
+        # a view can cover nothing, e.g. a camera facing away
+        mesh = jittered_sphere(2)
+        rng = np.random.default_rng(views + empty_at)
+        neigh = tri_neighbors(mesh)
+        coverage = [Submesh.from_triangles(mesh, grown_patch(mesh, rng, int(rng.integers(1, 30)),
+                                                             neigh))
+                    for _ in range(views)]
+        coverage.insert(empty_at, Submesh.empty(mesh))
+        table = CoverageTable.build(mesh, None, coverage)
+        state = CoverageState.initial(table)
+        assert_batched_matches_oracle(state, table, lams=(0.0, 1.0))
+        while (v := next_best_view(state, table, 1.0)) is not None:
+            state = state.add(table, v)
+            assert_batched_matches_oracle(state, table, lams=(0.0, 1.0))
+        assert state.covered == table.achievable
 
     def test_camera_ring_states(self):
         table = camera_ring_table()
