@@ -1,7 +1,14 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from viewplan import build_bvh, planar_grid, ray_triangle, raycast
+from viewplan import TriangleMesh, build_bvh, icosphere, planar_grid, ray_triangle, raycast
+from viewplan.io import load_mesh
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def scan_occluded(mesh, origin, direction, t_min, t_max):
@@ -61,6 +68,57 @@ def probe_rays(mesh, bvh, rng, n):
     t_min = rng.choice([0.0, -1.0, 1e-6 * size], n)
     t_max = np.where(rng.random(n) < 0.3, np.inf, rng.uniform(0.2, 2.0, n) * size)
     return np.array(origins), np.array(dirs), t_min, t_max
+
+
+def recursive_bvh(mesh):
+    """The recursive median-split build, the oracle for `Bvh`'s level-by-level
+    one: (order, node_lo, node_hi, node_left, node_right, node_start, node_count)."""
+    v = mesh.vertices
+    v0, v1, v2 = (v[mesh.triangles[:, k]] for k in range(3))
+    lo = np.minimum(np.minimum(v0, v1), v2)
+    hi = np.maximum(np.maximum(v0, v1), v2)
+    centers = (lo + hi) * 0.5
+    order = np.arange(mesh.n_triangles)
+    boxes, links = [], []  # per node: lo and hi stacked; left, right, start, count
+
+    def build(start, count):
+        idx = order[start : start + count]
+        me = len(links)
+        boxes.append(np.stack([lo[idx].min(axis=0), hi[idx].max(axis=0)]))
+        links.append([-1, -1, start, count])
+        if count > raycast._LEAF_SIZE:
+            spread = centers[idx].max(axis=0) - centers[idx].min(axis=0)
+            axis = int(np.argmax(spread))
+            order[start : start + count] = idx[np.argsort(centers[idx, axis], kind="stable")]
+            half = count // 2
+            links[me][0] = build(start, half)
+            links[me][1] = build(start + half, count - half)
+        return me
+
+    build(0, mesh.n_triangles)
+    node_lo, node_hi = np.stack(boxes, axis=1)
+    return (order, node_lo, node_hi, *np.array(links, dtype=np.int64).T)
+
+
+@pytest.fixture(scope="module")
+def scene_mesh(tmp_path_factory):
+    """The benchmark's five-sphere scene (seed 0), written and loaded the way
+    its scene-precompute workload does."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    out = tmp_path_factory.mktemp("scene")
+    workloads._scene_inputs(0, out)
+    return load_mesh(out / "scene.obj")
+
+
+def first_triangles(mesh, k):
+    return TriangleMesh(mesh.vertices, mesh.triangles[:k])
 
 
 def plane_barycentric_hit(origin, direction, v0, v1, v2):
@@ -198,6 +256,70 @@ class TestBvh:
                                 for o, d in zip(origins, dirs)]
         assert 0 < got.sum() < n
         assert bvh.occluded(np.zeros((0, 3)), np.zeros((0, 3)), 0.0, 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("origins, dirs, t_min, t_max", [
+        (np.zeros((2, 3)), np.ones((3, 3)), 0.0, 1.0),  # a third direction
+        (np.zeros((3, 3)), np.ones((2, 3)), 0.0, 1.0),  # a third origin
+        (np.zeros((2, 2)), np.ones((2, 2)), 0.0, 1.0),
+        (np.zeros(3), np.ones(3), 0.0, 1.0),
+        (np.zeros((2, 3)), np.ones((2, 3)), np.zeros(3), 1.0),
+        (np.zeros((2, 3)), np.ones((2, 3)), 0.0, np.ones(1)),
+        (np.zeros((2, 3)), np.ones((2, 3)), 0.0, np.ones((2, 1))),
+    ], ids=["extra-direction", "extra-origin", "two-columns", "one-dimensional",
+            "t_min-length", "t_max-length-one", "t_max-two-dimensional"])
+    def test_mismatched_inputs_rejected(self, ico1, origins, dirs, t_min, t_max):
+        with pytest.raises(ValueError, match=r"got .*\("):
+            build_bvh(ico1).occluded(origins, dirs, t_min, t_max)
+
+    def test_no_floating_point_warning_escapes(self, ico1, occluder):
+        # Every pair of a leaf goes through the whole Moller-Trumbore arithmetic,
+        # so parallel pairs divide by zero; none of it may reach the caller.
+        # The grid's unit cells give det = +-d_z exactly for rays along x.
+        special = [
+            ([-0.5, 1.7, 0.5], [1.0, 0.0, 0.0]),         # parallel to the plane: det == 0
+            ([-0.5, 1.7, 0.0], [1.0, 0.0, 0.0]),         # inside the plane
+            ([-0.5, 1.7, -1.8e-12], [1.0, 0.0, 0.9e-12]),  # |det| just under 1e-12
+            ([-0.5, 1.7, -2.2e-12], [1.0, 0.0, 1.1e-12]),  # |det| just over 1e-12
+            ([1.2, 1.3, 2.0], [0.6, 0.0, -0.8]),         # one zero component
+            ([1.3, 2.4, 3.0], [0.0, 0.0, -1.0]),         # two zero components
+        ]
+        rng = np.random.default_rng(47)
+        grid = planar_grid(4, 4)
+        for mesh in (ico1, grid, occluder):
+            bvh = build_bvh(mesh)
+            origins, dirs, t_min, t_max = probe_rays(mesh, bvh, rng, 150)
+            origins = np.vstack([origins, [o for o, _ in special]])
+            dirs = np.vstack([dirs, [d for _, d in special]])
+            t_min = np.concatenate([t_min, np.zeros(len(special))])
+            t_max = np.concatenate([t_max, np.full(len(special), np.inf)])
+            expect = [scan_occluded(mesh, o, d, lo, hi)
+                      for o, d, lo, hi in zip(origins, dirs, t_min, t_max)]
+            with np.errstate(all="raise"):
+                got = bvh.occluded(origins, dirs, t_min, t_max)
+            assert got.tolist() == expect
+            if mesh is grid:  # of the rays along x, only the one just over the cut-off hits
+                assert expect[-len(special):] == [False, False, False, True, True, True]
+
+    @pytest.mark.parametrize("name", ["ico1", "ico3", "grid4", "grid40", "leaf", "leaf+1",
+                                      "one", "scene"])
+    def test_build_matches_recursive_reference(self, name, request):
+        size = raycast._LEAF_SIZE
+        mesh = {
+            "ico1": lambda: icosphere(1),
+            "ico3": lambda: icosphere(3),
+            "grid4": lambda: planar_grid(4, 4),
+            "grid40": lambda: planar_grid(40, 40),  # many tied centres
+            "leaf": lambda: first_triangles(planar_grid(3, 3), size),
+            "leaf+1": lambda: first_triangles(planar_grid(3, 3), size + 1),
+            "one": lambda: first_triangles(planar_grid(1, 1), 1),
+            "scene": lambda: request.getfixturevalue("scene_mesh"),
+        }[name]()
+        bvh = build_bvh(mesh)
+        got = (bvh.order, bvh.node_lo, bvh.node_hi, bvh.node_left, bvh.node_right,
+               bvh.node_start, bvh.node_count)
+        for a, b in zip(got, recursive_bvh(mesh), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     def test_wrong_mesh_pairing_rejected(self, ico1, unit_square):
         from viewplan import view_coverage, ViewPoint

@@ -171,6 +171,31 @@ class TestViewCoverage:
             got = set(view_coverage(ico1, bvh, view).triangle_indices())
             assert got == covered_oracle(ico1, view)
 
+    def test_matches_scalar_oracle_between_objects(self, ico1):
+        # two spheres side by side, seen from a ring of cameras around both:
+        # from some views each sphere shadows part of the other
+        shift = np.array([1.5, 0.0, 0.0])
+        spheres = [TriangleMesh(ico1.vertices - shift, ico1.triangles),
+                   TriangleMesh(ico1.vertices + shift, ico1.triangles)]
+        pair = TriangleMesh(np.vstack([s.vertices for s in spheres]),
+                            np.vstack([ico1.triangles, ico1.triangles + ico1.n_vertices]))
+        bvh = build_bvh(pair)
+        shadowed = 0
+        for k in range(6):
+            a = 0.2 + 2.0 * math.pi * k / 6
+            view = ViewPoint.aimed([5.0 * math.cos(a), 5.0 * math.sin(a), 0.5])
+            got = set(view_coverage(pair, bvh, view).triangle_indices())
+            assert got == covered_oracle(pair, view)
+            # a convex sphere alone hides none of its own front faces, so what
+            # it loses in the pair is blocked by the other sphere
+            alone = set()
+            for i, sphere in enumerate(spheres):
+                seen = view_coverage(sphere, build_bvh(sphere), view).triangle_indices()
+                alone |= {int(t) + i * ico1.n_triangles for t in seen}
+            assert got <= alone
+            shadowed += len(alone - got)
+        assert shadowed > 0
+
     def test_triangle_order_irrelevant(self, ico1):
         rng = np.random.default_rng(7)
         perm = rng.permutation(ico1.n_triangles)
